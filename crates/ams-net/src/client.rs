@@ -8,17 +8,16 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ams_service::{HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats};
+use ams_service::{
+    HealthReport, IngestTag, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats,
+};
 use ams_stream::{OpBlock, Value};
 use ams_telemetry::{
     trace_clock_ns, AssembledTrace, Counter, EventCode, EventHub, EventRecorder, Gauge,
     MetricsRegistry, TraceHub, TraceRecorder, TraceStage,
 };
 
-use crate::codec::{
-    encode_ingest_batch_frame_ex_into, encode_ingest_batch_frame_into, encode_ingest_frame_ex_into,
-    encode_ingest_frame_into, FrameDecoder, Request, Response,
-};
+use crate::codec::{encode_ingest_into, FrameDecoder, IngestOpts, Request, Response};
 use crate::error::NetError;
 
 /// How batch helpers overlap requests and responses: this many
@@ -164,15 +163,14 @@ pub struct AmsClient {
     /// Requested ack semantics for ingest submissions.
     ack_mode: AckMode,
     /// Redial behaviour on transport failure; `None` (the default)
-    /// keeps the legacy fail-fast contract and the legacy untagged
-    /// wire frames.
+    /// keeps the fail-fast contract and sends untagged ingest frames.
     reconnect: Option<ReconnectPolicy>,
     /// Resolved server addresses, kept for redialing.
     addrs: Vec<SocketAddr>,
     /// This client's idempotency producer id (nonzero once tagging is
     /// active; tags with producer 0 are never emitted).
     producer: u64,
-    /// Next sequence number to assign to a tagged submission.
+    /// Next sequence number to assign to an ingested block.
     next_seq: u64,
     /// xorshift state for backoff jitter and trace-id generation.
     rng: u64,
@@ -196,7 +194,7 @@ pub struct AmsClient {
 }
 
 impl AmsClient {
-    /// Blocks coalesced into one `IngestBlocks` frame by
+    /// Blocks coalesced into one ingest frame by
     /// [`Self::ingest_blocks`]: enough to amortize the frame header,
     /// checksum, per-frame dispatch, and (on small hosts) the
     /// client↔reactor scheduling ping-pong, while keeping several
@@ -212,7 +210,7 @@ impl AmsClient {
         let stream = TcpStream::connect(&addrs[..])?;
         let _ = stream.set_nodelay(true);
         // Producer id: wall-clock nanoseconds mixed with the pid, forced
-        // nonzero (zero is the wire encoding's "untagged" sentinel). Two
+        // nonzero (the wire refuses tags with producer 0). Two
         // clients colliding would need the same pid and the same
         // nanosecond — and even then they would only share a dedup
         // stream, not corrupt one.
@@ -268,8 +266,8 @@ impl AmsClient {
     }
 
     /// Enables request tracing: every `every`-th ingest submission
-    /// (1 = all, 0 = off) carries a fresh nonzero trace id on the
-    /// extended wire frames, making it tail-sampling-eligible
+    /// (1 = all, 0 = off) carries a fresh nonzero trace id in its
+    /// ingest frame, making it tail-sampling-eligible
     /// server-side; the client's own `client_encode`/`client_recv`
     /// stages land in a local hub readable via
     /// [`Self::local_traces`].
@@ -278,12 +276,27 @@ impl AmsClient {
         self
     }
 
-    /// `(durable, tagged)` for the current configuration: durable acks
-    /// come from [`AckMode::Fsync`], tags from an armed reconnect
-    /// policy. Either one moves ingest onto the extended wire frames;
-    /// with neither, the legacy frames are emitted byte-identically.
-    fn ingest_mode(&self) -> (bool, bool) {
-        (self.ack_mode == AckMode::Fsync, self.reconnect.is_some())
+    /// The options of an ingest frame whose first block carries `seq`
+    /// and `trace`: durable acks come from [`AckMode::Fsync`], tags
+    /// from an armed reconnect policy.
+    fn ingest_opts(&self, seq: u64, trace: u64) -> IngestOpts {
+        IngestOpts {
+            durable: self.ack_mode == AckMode::Fsync,
+            tag: self.reconnect.map(|_| IngestTag {
+                producer: self.producer,
+                seq,
+            }),
+            trace,
+        }
+    }
+
+    /// The options for the next ingest frame, reserving `blocks`
+    /// consecutive sequence numbers and drawing the next trace id.
+    fn next_ingest_opts(&mut self, blocks: usize) -> IngestOpts {
+        let seq = self.next_seq;
+        self.next_seq += blocks as u64;
+        let trace = self.next_trace_id();
+        self.ingest_opts(seq, trace)
     }
 
     /// Whether `error` is a transport failure the reconnect machinery
@@ -417,46 +430,30 @@ impl AmsClient {
         attribute: &str,
         block: &OpBlock,
     ) -> Result<IngestOutcome, NetError> {
-        let (durable, tagged) = self.ingest_mode();
-        let trace = self.next_trace_id();
-        if durable || tagged || trace != 0 {
-            let producer = if tagged { self.producer } else { 0 };
-            let seq = if tagged {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                s
-            } else {
-                0
-            };
-            // The same frame (same seq) is rewritten verbatim across
-            // reconnect resubmissions: with nothing later in flight on
-            // this blocking path, a server that already applied it
-            // dedups the duplicate and re-acks.
-            let t0 = trace_clock_ns();
-            encode_ingest_frame_ex_into(
-                attribute,
-                block,
-                durable,
-                producer,
-                seq,
-                trace,
-                &mut self.encode_buf,
-            )?;
-            self.trace_recorder
-                .record_since(trace, TraceStage::ClientEncode, t0);
-            return self.exchange_encoded_ingest(trace);
-        }
+        let opts = self.next_ingest_opts(1);
         // Borrowed encoding into the reused buffer: the block is
         // serialized straight into the frame, never cloned into an
         // owned request, and no frame allocation happens after warm-up.
-        encode_ingest_frame_into(attribute, block, &mut self.encode_buf)?;
-        self.stream.write_all(&self.encode_buf)?;
-        self.recv_ingest_outcome()
+        // The same frame (same seq) is rewritten verbatim across
+        // reconnect resubmissions: with nothing later in flight on this
+        // blocking path, a server that already applied it dedups the
+        // duplicate and re-acks.
+        let t0 = trace_clock_ns();
+        encode_ingest_into(
+            attribute,
+            std::slice::from_ref(block),
+            &opts,
+            &mut self.encode_buf,
+        )?;
+        self.trace_recorder
+            .record_since(opts.trace, TraceStage::ClientEncode, t0);
+        self.exchange_encoded_ingest(opts.trace)
     }
 
     /// Writes the ingest frame staged in `encode_buf` and reads its
     /// outcome, transparently redialing and rewriting the *same* frame
-    /// on transport failure when reconnect is enabled.
+    /// on transport failure when reconnect is enabled (the redial
+    /// budget is 0 without a [`ReconnectPolicy`]).
     fn exchange_encoded_ingest(&mut self, trace: u64) -> Result<IngestOutcome, NetError> {
         let budget = self.reconnect.map_or(0, |p| p.max_attempts);
         let mut resubmits = 0usize;
@@ -544,15 +541,22 @@ impl AmsClient {
     }
 
     /// Pipelined batch ingest **without retry**: blocks are coalesced
-    /// into `IngestBlocks` frames of [`Self::INGEST_BATCH`] (one frame
-    /// header + checksum per batch instead of per block), streamed
-    /// down the socket a bounded window of *blocks* ahead of the
-    /// responses, and each block's outcome is returned in order — the
-    /// server answers per block, so batching never changes the
-    /// backpressure contract. One encode buffer is reused across the
-    /// whole pipeline (zero steady-state allocations). The caller
-    /// decides what to do with the `Busy` ones — resubmit, shed load,
-    /// or back off.
+    /// into ingest frames of [`Self::INGEST_BATCH`] (one frame header +
+    /// checksum per batch instead of per block), streamed down the
+    /// socket a bounded window of *blocks* ahead of the responses, and
+    /// each block's outcome is returned in order — the server answers
+    /// per block, so batching never changes the backpressure contract.
+    /// One encode buffer is reused across the whole pipeline (zero
+    /// steady-state allocations). The caller decides what to do with
+    /// the `Busy` ones — resubmit, shed load, or back off.
+    ///
+    /// The in-flight window is mirrored client-side as `(seq, index,
+    /// trace)` entries so that, on a transport failure with reconnect
+    /// enabled, the *unacknowledged suffix* — and nothing else — is
+    /// resubmitted with its original sequence numbers: blocks whose ack
+    /// was lost are deduped server-side, blocks never received are
+    /// applied normally, and in either case exactly one outcome per
+    /// block comes back.
     ///
     /// # Errors
     /// Transport or server errors; outcomes are only returned when the
@@ -562,70 +566,18 @@ impl AmsClient {
         attribute: &str,
         blocks: &[OpBlock],
     ) -> Result<Vec<IngestOutcome>, NetError> {
-        let (durable, tagged) = self.ingest_mode();
-        if durable || tagged || self.trace_every != 0 {
-            return self.ingest_blocks_ex(attribute, blocks, durable, tagged);
-        }
-        let mut outcomes: Vec<IngestOutcome> = Vec::with_capacity(blocks.len());
-        let mut sent = 0usize;
-        for batch in blocks.chunks(Self::INGEST_BATCH) {
-            encode_ingest_batch_frame_into(attribute, batch, &mut self.encode_buf)?;
-            self.stream.write_all(&self.encode_buf)?;
-            sent += batch.len();
-            self.telemetry
-                .pipeline_peak
-                .raise_to((sent - outcomes.len()) as i64);
-            // Read outcomes back whenever the window is full so the
-            // in-flight bound stays at PIPELINE_WINDOW blocks.
-            while sent - outcomes.len() >= PIPELINE_WINDOW {
-                let outcome = self.recv_ingest_outcome()?;
-                outcomes.push(outcome);
-            }
-        }
-        while outcomes.len() < blocks.len() {
-            let outcome = self.recv_ingest_outcome()?;
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
-    }
-
-    /// The extended-frame variant of [`Self::ingest_blocks`]: same
-    /// windowed pipelining, but each block carries its idempotency tag
-    /// (when tagged) and the durable-ack flag. The in-flight window is
-    /// mirrored client-side as `(seq, block)` pairs so that, on a
-    /// transport failure with reconnect enabled, the *unacknowledged
-    /// suffix* — and nothing else — is resubmitted with its original
-    /// sequence numbers: blocks whose ack was lost are deduped
-    /// server-side, blocks never received are applied normally, and in
-    /// either case exactly one outcome per block comes back.
-    fn ingest_blocks_ex(
-        &mut self,
-        attribute: &str,
-        blocks: &[OpBlock],
-        durable: bool,
-        tagged: bool,
-    ) -> Result<Vec<IngestOutcome>, NetError> {
-        let producer = if tagged { self.producer } else { 0 };
         let budget = self.reconnect.map_or(0, |p| p.max_attempts);
         let mut outcomes: Vec<IngestOutcome> = Vec::with_capacity(blocks.len());
-        // The in-flight window as `(seq, block, trace)`, oldest first;
-        // survives reconnects so the suffix can be replayed with its
-        // original seqs (and trace ids).
-        let mut inflight: VecDeque<(u64, OpBlock, u64)> = VecDeque::new();
+        // The in-flight window, oldest first; survives reconnects so
+        // the suffix can be replayed with its original seqs (and trace
+        // ids).
+        let mut inflight: VecDeque<(u64, usize, u64)> = VecDeque::new();
         let mut next = 0usize;
         let mut resubmits = 0usize;
         loop {
-            match self.pump_ingest_ex(
-                attribute,
-                blocks,
-                durable,
-                producer,
-                &mut inflight,
-                &mut next,
-                &mut outcomes,
-            ) {
+            match self.pump_ingest(attribute, blocks, &mut inflight, &mut next, &mut outcomes) {
                 Ok(()) => return Ok(outcomes),
-                Err(e) if tagged && self.reconnectable(&e) && resubmits < budget => {
+                Err(e) if self.reconnectable(&e) && resubmits < budget => {
                     resubmits += 1;
                     self.reconnect_now()?;
                 }
@@ -634,74 +586,61 @@ impl AmsClient {
         }
     }
 
-    /// One attempt at driving the extended pipeline to completion:
-    /// first re-send whatever the window still holds (non-empty only
-    /// right after a reconnect), then interleave submissions and
-    /// outcome reads under the window bound.
-    #[allow(clippy::too_many_arguments)]
-    fn pump_ingest_ex(
+    /// One attempt at driving the ingest pipeline to completion: first
+    /// re-send whatever the window still holds (non-empty only right
+    /// after a reconnect), then write a full batch frame whenever fewer
+    /// than [`PIPELINE_WINDOW`] blocks are in flight and read an
+    /// outcome back otherwise.
+    fn pump_ingest(
         &mut self,
         attribute: &str,
         blocks: &[OpBlock],
-        durable: bool,
-        producer: u64,
-        inflight: &mut VecDeque<(u64, OpBlock, u64)>,
+        inflight: &mut VecDeque<(u64, usize, u64)>,
         next: &mut usize,
         outcomes: &mut Vec<IngestOutcome>,
     ) -> Result<(), NetError> {
         // Resubmit the unacked suffix, one frame per block (reconnects
         // are rare; re-batching is not worth the bookkeeping). Original
         // seqs make already-applied duplicates a server-side skip.
-        for (seq, block, trace) in inflight.iter() {
-            encode_ingest_frame_ex_into(
+        for &(seq, index, trace) in inflight.iter() {
+            let opts = self.ingest_opts(seq, trace);
+            encode_ingest_into(
                 attribute,
-                block,
-                durable,
-                producer,
-                *seq,
-                *trace,
+                std::slice::from_ref(&blocks[index]),
+                &opts,
                 &mut self.encode_buf,
             )?;
             self.stream.write_all(&self.encode_buf)?;
         }
-        while outcomes.len() < blocks.len() {
-            while *next < blocks.len() && inflight.len() < PIPELINE_WINDOW {
-                let room = PIPELINE_WINDOW - inflight.len();
-                let end = (*next + Self::INGEST_BATCH.min(room)).min(blocks.len());
-                let batch = &blocks[*next..end];
+        loop {
+            if *next < blocks.len() && inflight.len() < PIPELINE_WINDOW {
+                let end = (*next + Self::INGEST_BATCH).min(blocks.len());
                 let first_seq = self.next_seq;
-                // The wire traces a batch's first block only.
-                let trace = self.next_trace_id();
+                let opts = self.next_ingest_opts(end - *next);
                 let t0 = trace_clock_ns();
-                encode_ingest_batch_frame_ex_into(
-                    attribute,
-                    batch,
-                    durable,
-                    producer,
-                    first_seq,
-                    trace,
-                    &mut self.encode_buf,
-                )?;
+                encode_ingest_into(attribute, &blocks[*next..end], &opts, &mut self.encode_buf)?;
                 self.trace_recorder
-                    .record_since(trace, TraceStage::ClientEncode, t0);
-                self.next_seq += batch.len() as u64;
-                for (j, block) in batch.iter().enumerate() {
-                    let block_trace = if j == 0 { trace } else { 0 };
-                    inflight.push_back((first_seq + j as u64, block.clone(), block_trace));
+                    .record_since(opts.trace, TraceStage::ClientEncode, t0);
+                // The wire traces a batch's first block only.
+                for index in *next..end {
+                    let trace = if index == *next { opts.trace } else { 0 };
+                    inflight.push_back((first_seq + (index - *next) as u64, index, trace));
                 }
                 *next = end;
                 self.telemetry.pipeline_peak.raise_to(inflight.len() as i64);
                 self.stream.write_all(&self.encode_buf)?;
-            }
-            let t0 = trace_clock_ns();
-            let outcome = self.recv_ingest_outcome()?;
-            if let Some((_, _, trace)) = inflight.pop_front() {
+            } else if let Some(&(_, _, trace)) = inflight.front() {
+                // A block leaves the window only once its outcome
+                // arrived, so a failed read leaves it for the replay.
+                let t0 = trace_clock_ns();
+                outcomes.push(self.recv_ingest_outcome()?);
+                inflight.pop_front();
                 self.trace_recorder
                     .record_since(trace, TraceStage::ClientRecv, t0);
+            } else {
+                return Ok(());
             }
-            outcomes.push(outcome);
         }
-        Ok(())
     }
 
     /// Windowed pipelining over pre-encoded frames: keeps up to

@@ -6,9 +6,21 @@
 //! ```text
 //! [0..4)   u32   payload length L (bytes after this field); 9 ≤ L ≤ 2^24
 //! [4..8)   magic b"AMSN"
-//! [8..9)   u8    protocol version (currently 1)
+//! [8..9)   u8    protocol version (currently 2)
 //! [9..13)  u32   CRC-32 (IEEE) of the body
 //! [13..13+L-9) body: kind byte + kind-specific fields
+//! ```
+//!
+//! Ingest has exactly one request shape, [`Request::IngestBlocks`] (a
+//! single block is a batch of one). Its body, after the kind byte:
+//!
+//! ```text
+//! u8      flags: INGEST_FLAG_DURABLE | INGEST_FLAG_TAGGED | INGEST_FLAG_TRACED
+//! u64,u64 producer (nonzero), seq of block 0   — only when TAGGED
+//! u64     trace id (nonzero)                   — only when TRACED
+//! u16     attribute length, then UTF-8 bytes
+//! u32     block count n ≥ 1
+//! n ×     OpBlock wire form
 //! ```
 //!
 //! The length prefix is bounded by [`MAX_FRAME_PAYLOAD`] **before**
@@ -27,7 +39,9 @@
 
 use bytes::{Buf, BufMut};
 
-use ams_service::{HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats};
+use ams_service::{
+    HealthReport, IngestTag, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats,
+};
 use ams_stream::OpBlock;
 use ams_telemetry::AssembledTrace;
 
@@ -35,7 +49,7 @@ use ams_telemetry::AssembledTrace;
 pub const MAGIC: [u8; 4] = *b"AMSN";
 
 /// Current protocol version, carried in every frame header.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard upper bound on a frame's payload (everything after the length
 /// prefix). Frames declaring more are rejected before buffering. Sized
@@ -54,8 +68,8 @@ pub const MAX_BODY: usize = MAX_FRAME_PAYLOAD - HEADER_LEN;
 
 // Request kinds occupy 0x01.., response kinds 0x81.. so a stray
 // response on the request path (or vice versa) fails loudly as an
-// unknown kind.
-const REQ_INGEST_BLOCK: u8 = 0x01;
+// unknown kind. 0x01, 0x0A and 0x0B are retired ingest kinds of
+// protocol version 1 and stay unassigned.
 const REQ_QUERY_SELF_JOIN: u8 = 0x02;
 const REQ_QUERY_TWO_WAY_JOIN: u8 = 0x03;
 const REQ_SNAPSHOT: u8 = 0x04;
@@ -64,25 +78,23 @@ const REQ_DRAIN: u8 = 0x06;
 const REQ_SHUTDOWN: u8 = 0x07;
 const REQ_METRICS: u8 = 0x08;
 const REQ_INGEST_BLOCKS: u8 = 0x09;
-const REQ_INGEST_BLOCK_EX: u8 = 0x0A;
-const REQ_INGEST_BLOCKS_EX: u8 = 0x0B;
 const REQ_TRACES: u8 = 0x0C;
 const REQ_EVENTS: u8 = 0x0D;
 const REQ_HEALTH: u8 = 0x0E;
 
-/// Extended-ingest flag: acknowledge only after the block's effects
-/// are on stable storage (WAL appended + fsynced per the server's
-/// policy), not merely enqueued. Against a server without a
-/// durability layer the ack degrades to after-apply.
+/// Ingest flag: acknowledge only after the block's effects are on
+/// stable storage (WAL appended + fsynced per the server's policy),
+/// not merely enqueued. Against a server without a durability layer
+/// the ack degrades to after-apply.
 pub const INGEST_FLAG_DURABLE: u8 = 0x01;
-/// Extended-ingest flag: the frame carries a `(producer, seq)`
-/// idempotency tag, letting the service skip resubmitted blocks it
-/// already logged (exactly-once resubmission after a lost ack).
+/// Ingest flag: the frame carries a `(producer, seq)` idempotency tag,
+/// letting the service skip resubmitted blocks it already logged
+/// (exactly-once resubmission after a lost ack).
 pub const INGEST_FLAG_TAGGED: u8 = 0x02;
-/// Extended-ingest flag: the frame carries a nonzero `u64` trace id —
-/// the request is tail-sampling-eligible and every stage it touches
-/// stamps a span for it (see `ams_telemetry::trace`). For a batch
-/// frame the id traces the batch's first block.
+/// Ingest flag: the frame carries a nonzero `u64` trace id — the
+/// request is tail-sampling-eligible and every stage it touches stamps
+/// a span for it (see `ams_telemetry::trace`). The id traces the
+/// batch's first block.
 pub const INGEST_FLAG_TRACED: u8 = 0x04;
 const INGEST_FLAGS_KNOWN: u8 = INGEST_FLAG_DURABLE | INGEST_FLAG_TAGGED | INGEST_FLAG_TRACED;
 
@@ -198,62 +210,36 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
+/// The options an ingest request carries (see the `INGEST_FLAG_*`
+/// constants for their wire flags). The default is an untagged,
+/// untraced batch acknowledged at enqueue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IngestOpts {
+    /// Acknowledge each block only once its effects are durable.
+    pub durable: bool,
+    /// Idempotency tag of the batch's first block; block `i` carries
+    /// `seq + i`. The producer must be nonzero.
+    pub tag: Option<IngestTag>,
+    /// Trace id of the batch's first block; `0` means untraced.
+    pub trace: u64,
+}
+
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Submit one columnar block of updates for one attribute.
-    IngestBlock {
-        /// The registered attribute the block belongs to.
-        attribute: String,
-        /// The updates.
-        block: OpBlock,
-    },
-    /// Submit several blocks for one attribute in a single frame,
-    /// amortizing the per-frame header, checksum, and dispatch cost
-    /// under pipelining. The server answers with **one response per
-    /// block** (`Ingested` or `Busy`), in order — batching changes the
-    /// framing, never the backpressure contract.
+    /// Submit one or more columnar blocks of updates for one attribute
+    /// in a single frame (a single block is a batch of one), amortizing
+    /// the per-frame header, checksum, and dispatch cost under
+    /// pipelining. The server answers with **one response per block**
+    /// (`Ingested` or `Busy`), in order — batching changes the framing,
+    /// never the backpressure contract.
     IngestBlocks {
         /// The registered attribute all blocks belong to.
         attribute: String,
         /// The blocks, in submission order. Must be non-empty.
         blocks: Vec<OpBlock>,
-    },
-    /// [`Request::IngestBlock`] with ingest options: a durable-ack
-    /// request and/or a `(producer, seq)` idempotency tag (see the
-    /// `INGEST_FLAG_*` constants for the wire flags).
-    IngestBlockEx {
-        /// The registered attribute the block belongs to.
-        attribute: String,
-        /// The updates.
-        block: OpBlock,
-        /// Acknowledge only once the block's effects are durable.
-        durable: bool,
-        /// Idempotency producer id; `0` means untagged.
-        producer: u64,
-        /// Producer-local sequence number (meaningful when
-        /// `producer != 0`).
-        seq: u64,
-        /// Trace id; `0` means untraced (see [`INGEST_FLAG_TRACED`]).
-        trace: u64,
-    },
-    /// [`Request::IngestBlocks`] with ingest options. Block `i` of the
-    /// batch carries the implicit sequence number `first_seq + i`, so
-    /// one header tags the whole batch.
-    IngestBlocksEx {
-        /// The registered attribute all blocks belong to.
-        attribute: String,
-        /// The blocks, in submission order. Must be non-empty.
-        blocks: Vec<OpBlock>,
-        /// Acknowledge each block only once its effects are durable.
-        durable: bool,
-        /// Idempotency producer id; `0` means untagged.
-        producer: u64,
-        /// Sequence number of the first block; later blocks increment.
-        first_seq: u64,
-        /// Trace id for the batch's **first block**; `0` means
-        /// untraced (see [`INGEST_FLAG_TRACED`]).
-        trace: u64,
+        /// Ack mode, idempotency tag, and trace id for the batch.
+        opts: IngestOpts,
     },
     /// Ask for the self-join size estimate of one attribute.
     QuerySelfJoin {
@@ -499,63 +485,41 @@ fn finish(data: &[u8]) -> Result<(), FrameError> {
     }
 }
 
-/// Encodes an `IngestBlock` request into `out` as one complete frame
-/// from borrowed parts — the client's ingest hot path: no owned
-/// [`Request`] (so no block clone) and no per-call frame allocation
-/// (the caller reuses one buffer across the pipeline).
+/// Writes the ingest option prefix: the flags byte, the idempotency
+/// tag when set, and the trace id when nonzero.
 ///
 /// # Errors
-/// [`FrameError`] when the attribute or block exceeds the frame-size
-/// limits (split the block and resubmit).
-pub fn encode_ingest_frame_into(
-    attribute: &str,
-    block: &OpBlock,
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCK);
-    put_str(out, attribute)?;
-    block.encode_wire(out);
-    finish_frame(out)
-}
-
-/// Allocating convenience wrapper over [`encode_ingest_frame_into`].
-///
-/// # Errors
-/// As for [`encode_ingest_frame_into`].
-pub fn encode_ingest_frame(attribute: &str, block: &OpBlock) -> Result<Vec<u8>, FrameError> {
-    let mut out = Vec::with_capacity(FRAME_PREFIX + 3 + attribute.len() + block.wire_len());
-    encode_ingest_frame_into(attribute, block, &mut out)?;
-    Ok(out)
-}
-
-/// Writes the extended-ingest option prefix: the flags byte, the
-/// idempotency tag when `producer != 0`, and the trace id when
-/// `trace != 0`.
-fn put_ingest_options(out: &mut Vec<u8>, durable: bool, producer: u64, seq: u64, trace: u64) {
+/// [`FrameError::Malformed`] for a tag with producer 0 — the decoder
+/// would reject it, so it is refused here instead.
+fn put_ingest_options(out: &mut Vec<u8>, opts: &IngestOpts) -> Result<(), FrameError> {
     let mut flags = 0u8;
-    if durable {
+    if opts.durable {
         flags |= INGEST_FLAG_DURABLE;
     }
-    if producer != 0 {
+    if opts.tag.is_some() {
         flags |= INGEST_FLAG_TAGGED;
     }
-    if trace != 0 {
+    if opts.trace != 0 {
         flags |= INGEST_FLAG_TRACED;
     }
     out.put_u8(flags);
-    if producer != 0 {
-        out.put_u64_le(producer);
-        out.put_u64_le(seq);
+    if let Some(tag) = opts.tag {
+        if tag.producer == 0 {
+            return Err(FrameError::Malformed {
+                reason: "tagged ingest with zero producer id",
+            });
+        }
+        out.put_u64_le(tag.producer);
+        out.put_u64_le(tag.seq);
     }
-    if trace != 0 {
-        out.put_u64_le(trace);
+    if opts.trace != 0 {
+        out.put_u64_le(opts.trace);
     }
+    Ok(())
 }
 
-/// Reads the extended-ingest option prefix written by
-/// [`put_ingest_options`]: `(durable, producer, seq, trace)`.
-fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameError> {
+/// Reads the ingest option prefix written by [`put_ingest_options`].
+fn get_ingest_options(data: &mut &[u8]) -> Result<IngestOpts, FrameError> {
     if data.remaining() < 1 {
         return Err(FrameError::Malformed {
             reason: "truncated ingest flags",
@@ -567,8 +531,7 @@ fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameEr
             reason: "unknown ingest flag bits",
         });
     }
-    let durable = flags & INGEST_FLAG_DURABLE != 0;
-    let (producer, seq) = if flags & INGEST_FLAG_TAGGED != 0 {
+    let tag = if flags & INGEST_FLAG_TAGGED != 0 {
         if data.remaining() < 16 {
             return Err(FrameError::Malformed {
                 reason: "truncated ingest tag",
@@ -580,9 +543,12 @@ fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameEr
                 reason: "tagged ingest with zero producer id",
             });
         }
-        (producer, data.get_u64_le())
+        Some(IngestTag {
+            producer,
+            seq: data.get_u64_le(),
+        })
     } else {
-        (0, 0)
+        None
     };
     let trace = if flags & INGEST_FLAG_TRACED != 0 {
         if data.remaining() < 8 {
@@ -600,76 +566,27 @@ fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameEr
     } else {
         0
     };
-    Ok((durable, producer, seq, trace))
+    Ok(IngestOpts {
+        durable: flags & INGEST_FLAG_DURABLE != 0,
+        tag,
+        trace,
+    })
 }
 
-/// Encodes an extended `IngestBlockEx` request into `out` as one
-/// complete frame from borrowed parts — the reconnecting client's
-/// tagged/durable ingest hot path (same zero-clone, reused-buffer
-/// contract as [`encode_ingest_frame_into`]).
+/// Encodes an `IngestBlocks` request into `out` as one complete frame
+/// from borrowed parts — the client's ingest hot path: no owned
+/// [`Request`] (so no block clone) and no per-call frame allocation
+/// (the caller reuses one buffer across the pipeline). A single block
+/// is a batch of one.
 ///
 /// # Errors
-/// As for [`encode_ingest_frame_into`].
-pub fn encode_ingest_frame_ex_into(
-    attribute: &str,
-    block: &OpBlock,
-    durable: bool,
-    producer: u64,
-    seq: u64,
-    trace: u64,
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCK_EX);
-    put_ingest_options(out, durable, producer, seq, trace);
-    put_str(out, attribute)?;
-    block.encode_wire(out);
-    finish_frame(out)
-}
-
-/// Encodes an extended `IngestBlocksEx` batch request into `out` as
-/// one complete frame from borrowed parts. Block `i` carries the
-/// implicit sequence number `first_seq + i`.
-///
-/// # Errors
-/// As for [`encode_ingest_batch_frame_into`].
-pub fn encode_ingest_batch_frame_ex_into(
+/// [`FrameError::Malformed`] for an empty batch or a tag with producer
+/// 0; [`FrameError`] when the attribute or combined blocks exceed the
+/// frame-size limits (shrink the batch and resubmit).
+pub fn encode_ingest_into(
     attribute: &str,
     blocks: &[OpBlock],
-    durable: bool,
-    producer: u64,
-    first_seq: u64,
-    trace: u64,
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    if blocks.is_empty() {
-        return Err(FrameError::Malformed {
-            reason: "empty ingest batch",
-        });
-    }
-    begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCKS_EX);
-    put_ingest_options(out, durable, producer, first_seq, trace);
-    put_str(out, attribute)?;
-    out.put_u32_le(blocks.len() as u32);
-    for block in blocks {
-        block.encode_wire(out);
-    }
-    finish_frame(out)
-}
-
-/// Encodes an `IngestBlocks` batch request into `out` as one complete
-/// frame from borrowed parts — the client's coalesced ingest hot path.
-/// One frame carries every block; the server still answers one
-/// response per block, in order.
-///
-/// # Errors
-/// [`FrameError::Malformed`] for an empty batch; [`FrameError`] when
-/// the attribute or combined blocks exceed the frame-size limits
-/// (shrink the batch and resubmit).
-pub fn encode_ingest_batch_frame_into(
-    attribute: &str,
-    blocks: &[OpBlock],
+    opts: &IngestOpts,
     out: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
     if blocks.is_empty() {
@@ -679,12 +596,26 @@ pub fn encode_ingest_batch_frame_into(
     }
     begin_frame(out);
     out.put_u8(REQ_INGEST_BLOCKS);
+    put_ingest_options(out, opts)?;
     put_str(out, attribute)?;
     out.put_u32_le(blocks.len() as u32);
     for block in blocks {
         block.encode_wire(out);
     }
     finish_frame(out)
+}
+
+/// [`encode_ingest_into`] with default options: an untagged, untraced
+/// batch acknowledged at enqueue.
+///
+/// # Errors
+/// As for [`encode_ingest_into`].
+pub fn encode_ingest_batch_frame_into(
+    attribute: &str,
+    blocks: &[OpBlock],
+    out: &mut Vec<u8>,
+) -> Result<(), FrameError> {
+    encode_ingest_into(attribute, blocks, &IngestOpts::default(), out)
 }
 
 impl Request {
@@ -696,36 +627,11 @@ impl Request {
     /// a block too large for one frame — split it and resubmit).
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
         match self {
-            Request::IngestBlock { attribute, block } => {
-                return encode_ingest_frame_into(attribute, block, out);
-            }
-            Request::IngestBlocks { attribute, blocks } => {
-                return encode_ingest_batch_frame_into(attribute, blocks, out);
-            }
-            Request::IngestBlockEx {
-                attribute,
-                block,
-                durable,
-                producer,
-                seq,
-                trace,
-            } => {
-                return encode_ingest_frame_ex_into(
-                    attribute, block, *durable, *producer, *seq, *trace, out,
-                );
-            }
-            Request::IngestBlocksEx {
+            Request::IngestBlocks {
                 attribute,
                 blocks,
-                durable,
-                producer,
-                first_seq,
-                trace,
-            } => {
-                return encode_ingest_batch_frame_ex_into(
-                    attribute, blocks, *durable, *producer, *first_seq, *trace, out,
-                );
-            }
+                opts,
+            } => return encode_ingest_into(attribute, blocks, opts, out),
             Request::QuerySelfJoin { attribute } => {
                 begin_frame(out);
                 out.put_u8(REQ_QUERY_SELF_JOIN);
@@ -783,12 +689,11 @@ impl Request {
         Ok(out)
     }
 
-    /// The trace id this request carries (`0` = untraced). Only the
-    /// extended ingest forms can be traced; a batch's id covers the
-    /// whole frame.
+    /// The trace id this request carries (`0` = untraced). Only
+    /// ingest requests can be traced; the id covers the whole frame.
     pub fn trace_id(&self) -> u64 {
         match self {
-            Request::IngestBlockEx { trace, .. } | Request::IngestBlocksEx { trace, .. } => *trace,
+            Request::IngestBlocks { opts, .. } => opts.trace,
             _ => 0,
         }
     }
@@ -808,12 +713,8 @@ impl Request {
         }
         let kind = data.get_u8();
         let request = match kind {
-            REQ_INGEST_BLOCK => {
-                let attribute = get_str(&mut data)?;
-                let block = get_block(&mut data)?;
-                Request::IngestBlock { attribute, block }
-            }
             REQ_INGEST_BLOCKS => {
+                let opts = get_ingest_options(&mut data)?;
                 let attribute = get_str(&mut data)?;
                 if data.remaining() < 4 {
                     return Err(FrameError::Malformed {
@@ -838,51 +739,10 @@ impl Request {
                 for _ in 0..count {
                     blocks.push(get_block(&mut data)?);
                 }
-                Request::IngestBlocks { attribute, blocks }
-            }
-            REQ_INGEST_BLOCK_EX => {
-                let (durable, producer, seq, trace) = get_ingest_options(&mut data)?;
-                let attribute = get_str(&mut data)?;
-                let block = get_block(&mut data)?;
-                Request::IngestBlockEx {
-                    attribute,
-                    block,
-                    durable,
-                    producer,
-                    seq,
-                    trace,
-                }
-            }
-            REQ_INGEST_BLOCKS_EX => {
-                let (durable, producer, first_seq, trace) = get_ingest_options(&mut data)?;
-                let attribute = get_str(&mut data)?;
-                if data.remaining() < 4 {
-                    return Err(FrameError::Malformed {
-                        reason: "truncated batch count",
-                    });
-                }
-                let count = data.get_u32_le() as usize;
-                if count == 0 {
-                    return Err(FrameError::Malformed {
-                        reason: "empty ingest batch",
-                    });
-                }
-                if count > data.remaining() / 5 {
-                    return Err(FrameError::Malformed {
-                        reason: "batch count exceeds body",
-                    });
-                }
-                let mut blocks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    blocks.push(get_block(&mut data)?);
-                }
-                Request::IngestBlocksEx {
+                Request::IngestBlocks {
                     attribute,
                     blocks,
-                    durable,
-                    producer,
-                    first_seq,
-                    trace,
+                    opts,
                 }
             }
             REQ_QUERY_SELF_JOIN => Request::QuerySelfJoin {
@@ -1179,69 +1039,70 @@ mod tests {
         Request::decode(&body).unwrap()
     }
 
+    fn ingest(blocks: Vec<OpBlock>, durable: bool, tag: Option<(u64, u64)>, trace: u64) -> Request {
+        Request::IngestBlocks {
+            attribute: "clicks".into(),
+            blocks,
+            opts: IngestOpts {
+                durable,
+                tag: tag.map(|(producer, seq)| IngestTag { producer, seq }),
+                trace,
+            },
+        }
+    }
+
+    /// Hand-builds an ingest frame body from raw parts and decodes it.
+    fn decode_raw_ingest(fill: impl FnOnce(&mut Vec<u8>)) -> Result<Request, FrameError> {
+        let mut frame = Vec::new();
+        begin_frame(&mut frame);
+        frame.put_u8(REQ_INGEST_BLOCKS);
+        fill(&mut frame);
+        finish_frame(&mut frame).unwrap();
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&frame);
+        let body = decoder.next_frame().unwrap().unwrap();
+        Request::decode(&body)
+    }
+
     #[test]
     fn request_roundtrips() {
         let requests = [
-            Request::IngestBlock {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([1u64, 1, 2, 9]),
-            },
-            Request::IngestBlocks {
-                attribute: "clicks".into(),
-                blocks: vec![
+            ingest(vec![OpBlock::from_values([1u64, 1, 2, 9])], false, None, 0),
+            ingest(
+                vec![
                     OpBlock::from_values([1u64, 1, 2, 9]),
                     OpBlock::from_values([7u64]),
                     OpBlock::from_values([3u64, 3, 3]),
                 ],
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([4u64, 4]),
-                durable: true,
-                producer: 0xDEAD_BEEF,
-                seq: 17,
-                trace: 0,
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([5u64]),
-                durable: false,
-                producer: 0,
-                seq: 0,
-                trace: 0,
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([6u64, 6]),
-                durable: true,
-                producer: 0xDEAD_BEEF,
-                seq: 18,
-                trace: 0xFACE_FEED,
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([8u64]),
-                durable: false,
-                producer: 0,
-                seq: 0,
-                trace: u64::MAX,
-            },
-            Request::IngestBlocksEx {
-                attribute: "clicks".into(),
-                blocks: vec![OpBlock::from_values([1u64]), OpBlock::from_values([2u64])],
-                durable: true,
-                producer: 9,
-                first_seq: 100,
-                trace: 0,
-            },
-            Request::IngestBlocksEx {
-                attribute: "clicks".into(),
-                blocks: vec![OpBlock::from_values([3u64])],
-                durable: false,
-                producer: 0,
-                first_seq: 0,
-                trace: 0x1234_5678_9ABC,
-            },
+                false,
+                None,
+                0,
+            ),
+            ingest(
+                vec![OpBlock::from_values([4u64, 4])],
+                true,
+                Some((0xDEAD_BEEF, 17)),
+                0,
+            ),
+            ingest(
+                vec![OpBlock::from_values([6u64, 6])],
+                true,
+                Some((0xDEAD_BEEF, 18)),
+                0xFACE_FEED,
+            ),
+            ingest(vec![OpBlock::from_values([8u64])], false, None, u64::MAX),
+            ingest(
+                vec![OpBlock::from_values([1u64]), OpBlock::from_values([2u64])],
+                true,
+                Some((9, 100)),
+                0,
+            ),
+            ingest(
+                vec![OpBlock::from_values([3u64])],
+                false,
+                Some((u64::MAX, u64::MAX)),
+                0x1234_5678_9ABC,
+            ),
             Request::QuerySelfJoin {
                 attribute: "π-ratio".into(),
             },
@@ -1364,6 +1225,13 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.feed(&bad);
         assert_eq!(decoder.next_frame(), Err(FrameError::BadVersion { got: 9 }));
+        // A protocol-1 peer fails on the header, before its body kinds
+        // are ever interpreted.
+        let mut bad = frame.clone();
+        bad[8] = 1;
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&bad);
+        assert_eq!(decoder.next_frame(), Err(FrameError::BadVersion { got: 1 }));
         // Oversized declaration is rejected before buffering the body.
         let mut bad = frame;
         bad[0..4].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
@@ -1378,10 +1246,7 @@ mod tests {
     #[test]
     fn oversized_ingest_refused_at_encode_time() {
         let block = OpBlock::from_ops((0..(MAX_BODY / 16 + 2) as u64).map(ams_stream::Op::Insert));
-        let request = Request::IngestBlock {
-            attribute: "v".into(),
-            block,
-        };
+        let request = ingest(vec![block], false, None, 0);
         assert!(matches!(
             request.encode(),
             Err(FrameError::Oversized { .. })
@@ -1389,91 +1254,91 @@ mod tests {
     }
 
     #[test]
+    fn retired_ingest_kinds_are_unknown() {
+        // Protocol-1 ingest kinds stay unassigned in version 2.
+        for kind in [0x01u8, 0x0A, 0x0B] {
+            let mut frame = Vec::new();
+            begin_frame(&mut frame);
+            frame.put_u8(kind);
+            frame.put_u8(0);
+            put_str(&mut frame, "v").unwrap();
+            OpBlock::from_values([1u64]).encode_wire(&mut frame);
+            finish_frame(&mut frame).unwrap();
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&frame);
+            let body = decoder.next_frame().unwrap().unwrap();
+            assert_eq!(
+                Request::decode(&body),
+                Err(FrameError::UnknownKind { kind })
+            );
+        }
+    }
+
+    #[test]
     fn malformed_ingest_options_rejected() {
+        let attr_and_block = |frame: &mut Vec<u8>| {
+            put_str(frame, "v").unwrap();
+            frame.put_u32_le(1);
+            OpBlock::from_values([1u64]).encode_wire(frame);
+        };
         // Unknown flag bits fail cleanly.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(0x80);
-        put_str(&mut frame, "v").unwrap();
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(0x80);
+                attr_and_block(frame);
+            }),
             Err(FrameError::Malformed {
                 reason: "unknown ingest flag bits",
             })
         );
         // A tagged frame with producer 0 contradicts itself.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TAGGED);
-        frame.put_u64_le(0);
-        frame.put_u64_le(3);
-        put_str(&mut frame, "v").unwrap();
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(INGEST_FLAG_TAGGED);
+                frame.put_u64_le(0);
+                frame.put_u64_le(3);
+                attr_and_block(frame);
+            }),
             Err(FrameError::Malformed {
                 reason: "tagged ingest with zero producer id",
             })
         );
         // A tag cut off mid-field is caught before any block decode.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TAGGED);
-        frame.put_u32_le(7);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(INGEST_FLAG_TAGGED);
+                frame.put_u32_le(7);
+            }),
             Err(FrameError::Malformed {
                 reason: "truncated ingest tag",
             })
         );
         // A traced frame with trace id 0 contradicts itself.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TRACED);
-        frame.put_u64_le(0);
-        put_str(&mut frame, "v").unwrap();
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(INGEST_FLAG_TRACED);
+                frame.put_u64_le(0);
+                attr_and_block(frame);
+            }),
             Err(FrameError::Malformed {
                 reason: "traced ingest with zero trace id",
             })
         );
         // A trace id cut off mid-field is caught before any block decode.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TRACED);
-        frame.put_u32_le(7);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(INGEST_FLAG_TRACED);
+                frame.put_u32_le(7);
+            }),
             Err(FrameError::Malformed {
                 reason: "truncated trace id",
+            })
+        );
+        // A missing options byte is caught before anything else.
+        assert_eq!(
+            decode_raw_ingest(|_| {}),
+            Err(FrameError::Malformed {
+                reason: "truncated ingest flags",
             })
         );
     }
@@ -1603,17 +1468,12 @@ mod tests {
             })
         );
         // Decode-time refusal of a hand-built zero-count frame.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCKS);
-        put_str(&mut frame, "v").unwrap();
-        frame.put_u32_le(0);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(0);
+                put_str(frame, "v").unwrap();
+                frame.put_u32_le(0);
+            }),
             Err(FrameError::Malformed {
                 reason: "empty ingest batch",
             })
@@ -1624,18 +1484,13 @@ mod tests {
     fn overdeclared_batch_count_rejected_before_allocation() {
         // A count the remaining body cannot possibly hold must fail
         // cleanly (and must not size an allocation).
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCKS);
-        put_str(&mut frame, "v").unwrap();
-        frame.put_u32_le(u32::MAX);
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_raw_ingest(|frame| {
+                frame.put_u8(0);
+                put_str(frame, "v").unwrap();
+                frame.put_u32_le(u32::MAX);
+                OpBlock::from_values([1u64]).encode_wire(frame);
+            }),
             Err(FrameError::Malformed {
                 reason: "batch count exceeds body",
             })
@@ -1644,19 +1499,25 @@ mod tests {
 
     #[test]
     fn reused_encode_buffer_produces_identical_frames() {
-        // The zero-alloc into-buffer encoders must be byte-identical to
-        // the allocating wrappers, and reuse must not leak prior
+        // The zero-alloc into-buffer encoder must be byte-identical to
+        // the owned-request encoder, and reuse must not leak prior
         // contents.
         let block_a = OpBlock::from_values([1u64, 2, 3]);
         let block_b = OpBlock::from_values([9u64]);
         let mut buf = Vec::new();
-        encode_ingest_frame_into("long-attribute-name", &block_a, &mut buf).unwrap();
+        let long = ingest(vec![block_a.clone()], true, Some((5, 6)), 7);
+        let Request::IngestBlocks { opts, .. } = &long else {
+            unreachable!()
+        };
+        encode_ingest_into("clicks", std::slice::from_ref(&block_a), opts, &mut buf).unwrap();
+        assert_eq!(buf, long.encode().unwrap());
+        encode_ingest_batch_frame_into("clicks", std::slice::from_ref(&block_b), &mut buf).unwrap();
         assert_eq!(
             buf,
-            encode_ingest_frame("long-attribute-name", &block_a).unwrap()
+            ingest(vec![block_b.clone()], false, None, 0)
+                .encode()
+                .unwrap()
         );
-        encode_ingest_frame_into("v", &block_b, &mut buf).unwrap();
-        assert_eq!(buf, encode_ingest_frame("v", &block_b).unwrap());
         let batch = [block_a, block_b];
         encode_ingest_batch_frame_into("v", &batch, &mut buf).unwrap();
         let body = {
@@ -1665,9 +1526,14 @@ mod tests {
             decoder.next_frame().unwrap().unwrap()
         };
         match Request::decode(&body).unwrap() {
-            Request::IngestBlocks { attribute, blocks } => {
+            Request::IngestBlocks {
+                attribute,
+                blocks,
+                opts,
+            } => {
                 assert_eq!(attribute, "v");
                 assert_eq!(blocks.len(), 2);
+                assert_eq!(opts, IngestOpts::default());
             }
             other => panic!("wrong kind: {other:?}"),
         }

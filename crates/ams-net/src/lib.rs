@@ -52,7 +52,7 @@ mod reactor;
 pub mod server;
 
 pub use client::{AckMode, AmsClient, IngestOutcome, ReconnectPolicy, RetryPolicy};
-pub use codec::{ErrorCode, FrameDecoder, FrameError, Request, Response};
+pub use codec::{ErrorCode, FrameDecoder, FrameError, IngestOpts, Request, Response};
 pub use error::NetError;
 pub use server::{NetServer, NetServerConfig, ServerHandle, StopHandle};
 

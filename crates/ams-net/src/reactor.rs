@@ -36,7 +36,7 @@ use ams_telemetry::{
     TraceCtx, TraceHub, TraceRecorder, TraceStage,
 };
 
-use crate::codec::{ErrorCode, Request, Response, MAX_FRAME_PAYLOAD};
+use crate::codec::{ErrorCode, IngestOpts, Request, Response, MAX_FRAME_PAYLOAD};
 use crate::conn::{Connection, FramePool, Slot};
 use crate::server::NetServerConfig;
 
@@ -319,71 +319,90 @@ fn service_parked(
     progress
 }
 
-/// Routes one block through the service, appending the resulting slot:
-/// `Ingested` on success, a parked retry-ring entry on `WouldBlock`
-/// with ring room, `Busy` otherwise. Shared by the single-block and
-/// batch ingest requests — batching changes framing, never this
-/// contract. The attribute is only materialized (cloned) on the rare
+/// Routes each block of an ingest request through the service,
+/// appending one slot per block, in order: `Ingested` on success, a
+/// parked retry-ring entry on `WouldBlock` with ring room, `Busy`
+/// otherwise. The batch frame amortizes header + checksum + dispatch,
+/// while Busy / retry-ring semantics stay exactly per-block. (A batch
+/// is admitted as one frame, so `max_inflight_per_conn` can be
+/// exceeded by up to one batch's worth of slots.) Block i carries the
+/// tag (producer, seq+i); a traced batch attributes the whole frame to
+/// its first block, so one trace never owns overlapping per-block
+/// spans. The attribute is only materialized (cloned) on the rare
 /// parking path.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_ingest(
     conn: &mut Connection,
     attribute: &str,
-    block: ams_stream::OpBlock,
-    durable: bool,
-    tag: Option<IngestTag>,
-    trace: TraceCtx,
+    blocks: Vec<ams_stream::OpBlock>,
+    opts: IngestOpts,
+    recv_ns: u64,
     service: &AmsService,
     config: &NetServerConfig,
     net: &NetInstruments,
     tracing: &ReactorTracing,
     pool: &mut FramePool,
 ) {
-    let route_t0 = tracing.start(trace.id);
-    let submitted = service.try_ingest_block_traced_returning(attribute, block, tag, trace.id);
-    match submitted {
-        Ok(handoff) => {
-            tracing.route_span(trace.id, route_t0, handoff);
-            if durable {
-                // The cut recorded right after acceptance covers this
-                // submission; the slot resolves to `Ingested` once the
-                // shard workers' durable watermarks reach it.
-                conn.slots.push_back(Slot::PendingDurable {
-                    cut: service.durability_cut(),
-                    trace,
-                    wait_from: tracing.start(trace.id),
-                });
-            } else {
-                conn.slots.push_back(Slot::Ready(tracing.finish(
-                    trace,
+    let durable = opts.durable;
+    for (i, block) in blocks.into_iter().enumerate() {
+        let tag = opts.tag.map(|tag| IngestTag {
+            seq: tag.seq.wrapping_add(i as u64),
+            ..tag
+        });
+        let trace = if i == 0 {
+            TraceCtx {
+                id: opts.trace,
+                begin_ns: recv_ns,
+            }
+        } else {
+            TraceCtx::none()
+        };
+        let route_t0 = tracing.start(trace.id);
+        let submitted = service.try_ingest_block_traced_returning(attribute, block, tag, trace.id);
+        match submitted {
+            Ok(handoff) => {
+                tracing.route_span(trace.id, route_t0, handoff);
+                if durable {
+                    // The cut recorded right after acceptance covers this
+                    // submission; the slot resolves to `Ingested` once the
+                    // shard workers' durable watermarks reach it.
+                    conn.slots.push_back(Slot::PendingDurable {
+                        cut: service.durability_cut(),
+                        trace,
+                        wait_from: tracing.start(trace.id),
+                    });
+                } else {
+                    conn.slots.push_back(Slot::Ready(tracing.finish(
+                        trace,
+                        pool,
+                        &Response::Ingested,
+                    )));
+                }
+            }
+            Err((block, ServiceError::WouldBlock { shard })) => {
+                // A refused submission did spend its time routing; the
+                // retry (if parked) re-routes under its own span.
+                tracing.span_since(trace.id, TraceStage::Route, route_t0);
+                if conn.pending_ingests() < config.max_pending_per_conn {
+                    conn.slots.push_back(Slot::PendingIngest {
+                        attribute: attribute.to_owned(),
+                        block,
+                        durable,
+                        tag,
+                        trace,
+                    });
+                } else {
+                    conn.slots
+                        .push_back(Slot::Ready(encoded(pool, &busy(service, shard, net))));
+                }
+            }
+            Err((_, other)) => {
+                tracing.span_since(trace.id, TraceStage::Route, route_t0);
+                conn.slots.push_back(Slot::Ready(encoded(
                     pool,
-                    &Response::Ingested,
+                    &ingest_failure(service, other, net),
                 )));
             }
-        }
-        Err((block, ServiceError::WouldBlock { shard })) => {
-            // A refused submission did spend its time routing; the
-            // retry (if parked) re-routes under its own span.
-            tracing.span_since(trace.id, TraceStage::Route, route_t0);
-            if conn.pending_ingests() < config.max_pending_per_conn {
-                conn.slots.push_back(Slot::PendingIngest {
-                    attribute: attribute.to_owned(),
-                    block,
-                    durable,
-                    tag,
-                    trace,
-                });
-            } else {
-                conn.slots
-                    .push_back(Slot::Ready(encoded(pool, &busy(service, shard, net))));
-            }
-        }
-        Err((_, other)) => {
-            tracing.span_since(trace.id, TraceStage::Route, route_t0);
-            conn.slots.push_back(Slot::Ready(encoded(
-                pool,
-                &ingest_failure(service, other, net),
-            )));
         }
     }
 }
@@ -403,90 +422,13 @@ fn dispatch(
     pool: &mut FramePool,
 ) -> bool {
     match request {
-        Request::IngestBlock { attribute, block } => {
-            dispatch_ingest(
-                conn,
-                &attribute,
-                block,
-                false,
-                None,
-                TraceCtx::none(),
-                service,
-                config,
-                net,
-                tracing,
-                pool,
-            );
-        }
-        Request::IngestBlocks { attribute, blocks } => {
-            // One response slot per block, in order: the batch frame
-            // amortizes header + checksum + dispatch, while Busy /
-            // retry-ring semantics stay exactly per-block. (A batch is
-            // admitted as one frame, so `max_inflight_per_conn` can be
-            // exceeded by up to one batch's worth of slots.)
-            for block in blocks {
-                dispatch_ingest(
-                    conn,
-                    &attribute,
-                    block,
-                    false,
-                    None,
-                    TraceCtx::none(),
-                    service,
-                    config,
-                    net,
-                    tracing,
-                    pool,
-                );
-            }
-        }
-        Request::IngestBlockEx {
-            attribute,
-            block,
-            durable,
-            producer,
-            seq,
-            trace,
-        } => {
-            let tag = (producer != 0).then_some(IngestTag { producer, seq });
-            let ctx = TraceCtx {
-                id: trace,
-                begin_ns: recv_ns,
-            };
-            dispatch_ingest(
-                conn, &attribute, block, durable, tag, ctx, service, config, net, tracing, pool,
-            );
-        }
-        Request::IngestBlocksEx {
+        Request::IngestBlocks {
             attribute,
             blocks,
-            durable,
-            producer,
-            first_seq,
-            trace,
-        } => {
-            // Block i carries the implicit tag (producer, first_seq+i);
-            // everything else is the plain batch contract. A traced
-            // batch attributes the whole frame to its first block, so
-            // one trace never owns overlapping per-block spans.
-            for (i, block) in blocks.into_iter().enumerate() {
-                let tag = (producer != 0).then_some(IngestTag {
-                    producer,
-                    seq: first_seq.wrapping_add(i as u64),
-                });
-                let ctx = if i == 0 {
-                    TraceCtx {
-                        id: trace,
-                        begin_ns: recv_ns,
-                    }
-                } else {
-                    TraceCtx::none()
-                };
-                dispatch_ingest(
-                    conn, &attribute, block, durable, tag, ctx, service, config, net, tracing, pool,
-                );
-            }
-        }
+            opts,
+        } => dispatch_ingest(
+            conn, &attribute, blocks, opts, recv_ns, service, config, net, tracing, pool,
+        ),
         Request::QuerySelfJoin { attribute } => {
             // Point queries merge only the queried attribute's shard
             // counters — not a full every-attribute snapshot.

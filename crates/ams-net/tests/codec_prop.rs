@@ -2,9 +2,10 @@
 //! arbitrary blocks and queries, and clean (panic-free) rejection of
 //! truncated, corrupted, and arbitrary byte prefixes.
 
-use ams_net::codec::{encode_ingest_batch_frame_into, MAX_FRAME_PAYLOAD};
+use ams_net::codec::{encode_ingest_batch_frame_into, encode_ingest_into, MAX_FRAME_PAYLOAD};
 use ams_net::crc::{crc32, crc32_bytewise};
-use ams_net::{FrameDecoder, Request, Response};
+use ams_net::{FrameDecoder, FrameError, IngestOpts, Request, Response};
+use ams_service::IngestTag;
 use ams_stream::OpBlock;
 use proptest::prelude::*;
 
@@ -32,29 +33,64 @@ fn block() -> impl Strategy<Value = OpBlock> {
     })
 }
 
+/// Ingest tags: untagged, or tagged at the edge producers 1 and
+/// `u64::MAX`, an arbitrary producer, or the unencodable producer 0 —
+/// with edge or arbitrary sequence numbers.
+fn tag() -> impl Strategy<Value = Option<IngestTag>> {
+    (0u8..5, any::<u64>(), 0u8..3, any::<u64>()).prop_map(|(kind, producer, edge, seq)| {
+        let seq = match edge {
+            0 => 0,
+            1 => u64::MAX,
+            _ => seq,
+        };
+        let producer = match kind {
+            0 => return None,
+            1 => 1,
+            2 => u64::MAX,
+            3 => 0,
+            _ => producer,
+        };
+        Some(IngestTag { producer, seq })
+    })
+}
+
+/// Arbitrary ingest options: durable or not, any [`tag`], and a trace
+/// id that is either absent (0) or an arbitrary nonzero id.
+fn opts() -> impl Strategy<Value = IngestOpts> {
+    (any::<bool>(), tag(), any::<u64>(), any::<bool>()).prop_map(|(durable, tag, id, traced)| {
+        IngestOpts {
+            durable,
+            tag,
+            trace: if traced { id | 1 } else { 0 },
+        }
+    })
+}
+
+/// Arbitrary requests whose ingest options are always encodable
+/// (a producer-0 tag is dropped).
 fn request() -> impl Strategy<Value = Request> {
     (
-        0u8..8,
+        0u8..7,
         attr_name(),
         attr_name(),
-        block(),
         proptest::collection::vec(block(), 1..5),
+        opts(),
     )
-        .prop_map(|(kind, a, b, block, blocks)| match kind {
-            0 => Request::IngestBlock {
-                attribute: a,
-                block,
-            },
-            1 => Request::QuerySelfJoin { attribute: a },
-            2 => Request::QueryTwoWayJoin { left: a, right: b },
-            3 => Request::Snapshot,
-            4 => Request::Stats,
-            5 => Request::Drain,
-            6 => Request::IngestBlocks {
-                attribute: a,
-                blocks,
-            },
-            _ => Request::Shutdown,
+        .prop_map(|(kind, a, b, blocks, mut opts)| {
+            opts.tag = opts.tag.filter(|tag| tag.producer != 0);
+            match kind {
+                0 => Request::IngestBlocks {
+                    attribute: a,
+                    blocks,
+                    opts,
+                },
+                1 => Request::QuerySelfJoin { attribute: a },
+                2 => Request::QueryTwoWayJoin { left: a, right: b },
+                3 => Request::Snapshot,
+                4 => Request::Stats,
+                5 => Request::Drain,
+                _ => Request::Shutdown,
+            }
         })
 }
 
@@ -162,20 +198,38 @@ proptest! {
         prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
     }
 
-    /// `IngestBlocks` batch frames round-trip through the reusable
-    /// encode buffer, and the batch helper agrees with the owned
-    /// `Request` encoder byte for byte.
+    /// Ingest frames round-trip through the reusable encode buffer,
+    /// and both borrowed encoders (default and explicit options) agree
+    /// with the owned `Request` encoder byte for byte.
     #[test]
     fn ingest_batch_frames_roundtrip(
         attribute in attr_name(),
         blocks in proptest::collection::vec(block(), 1..6),
+        opts in opts(),
     ) {
         let mut buf = Vec::new();
         encode_ingest_batch_frame_into(&attribute, &blocks, &mut buf).unwrap();
-        let request = Request::IngestBlocks { attribute, blocks };
-        prop_assert_eq!(&buf, &request.encode().unwrap());
+        let plain = Request::IngestBlocks {
+            attribute: attribute.clone(),
+            blocks: blocks.clone(),
+            opts: IngestOpts::default(),
+        };
+        prop_assert_eq!(&buf, &plain.encode().unwrap());
         let body = decode_one(&buf).unwrap().expect("whole frame decodes");
-        prop_assert_eq!(Request::decode(&body).unwrap(), request);
+        prop_assert_eq!(Request::decode(&body).unwrap(), plain);
+
+        let request = Request::IngestBlocks { attribute: attribute.clone(), blocks: blocks.clone(), opts };
+        match encode_ingest_into(&attribute, &blocks, &opts, &mut buf) {
+            Ok(()) => {
+                prop_assert_eq!(&buf, &request.encode().unwrap());
+                let body = decode_one(&buf).unwrap().expect("whole frame decodes");
+                prop_assert_eq!(Request::decode(&body).unwrap(), request);
+            }
+            Err(e) => {
+                prop_assert!(opts.tag.is_some_and(|tag| tag.producer == 0));
+                prop_assert_eq!(e, FrameError::Malformed { reason: "tagged ingest with zero producer id" });
+            }
+        }
     }
 
     /// Truncating or flipping bytes of a batch frame is always a clean
@@ -202,47 +256,33 @@ proptest! {
         }
     }
 
-    /// The trace context survives the extended ingest frames exactly —
-    /// flagged (nonzero id, `TRACED` flag, 8 extra bytes) and unflagged
-    /// (zero id, flag absent) alike, on both the single-block and batch
-    /// forms, independent of the durable/tagged options around it.
+    /// The ingest options survive the wire exactly: the trace context
+    /// flagged (nonzero id, `TRACED` flag, 8 extra bytes) and
+    /// unflagged (zero id, flag absent), on single-block and batch
+    /// frames alike, independent of the durable flag and the tag around
+    /// it. Every request that encodes decodes back to itself; the only
+    /// refusal is a tag with producer 0, which the decoder would reject.
     #[test]
     fn trace_context_roundtrips_flagged_and_unflagged(
         attribute in attr_name(),
         single_block in block(),
         blocks in proptest::collection::vec(block(), 1..4),
-        durable in any::<bool>(),
-        producer in any::<u64>(),
-        seq in any::<u64>(),
-        trace in (any::<u64>(), any::<bool>())
-            .prop_map(|(id, flagged)| if flagged { id | 1 } else { 0 }),
+        opts in opts(),
     ) {
-        let single = Request::IngestBlockEx {
-            attribute: attribute.clone(),
-            block: single_block,
-            durable,
-            producer,
-            seq,
-            trace,
-        };
-        let frame = single.encode().unwrap();
-        let body = decode_one(&frame).unwrap().expect("whole frame decodes");
-        let back = Request::decode(&body).unwrap();
-        prop_assert_eq!(back.trace_id(), trace);
-        prop_assert_eq!(back, single);
-
-        let batch = Request::IngestBlocksEx {
-            attribute,
-            blocks,
-            durable,
-            producer,
-            first_seq: seq,
-            trace,
-        };
-        let frame = batch.encode().unwrap();
-        let body = decode_one(&frame).unwrap().expect("whole frame decodes");
-        let back = Request::decode(&body).unwrap();
-        prop_assert_eq!(back.trace_id(), trace);
-        prop_assert_eq!(back, batch);
+        for blocks in [vec![single_block.clone()], blocks.clone()] {
+            let request = Request::IngestBlocks { attribute: attribute.clone(), blocks, opts };
+            match request.encode() {
+                Ok(frame) => {
+                    let body = decode_one(&frame).unwrap().expect("whole frame decodes");
+                    let back = Request::decode(&body).unwrap();
+                    prop_assert_eq!(back.trace_id(), opts.trace);
+                    prop_assert_eq!(back, request);
+                }
+                Err(e) => {
+                    prop_assert!(opts.tag.is_some_and(|tag| tag.producer == 0));
+                    prop_assert_eq!(e, FrameError::Malformed { reason: "tagged ingest with zero producer id" });
+                }
+            }
+        }
     }
 }

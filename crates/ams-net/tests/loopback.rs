@@ -219,9 +219,10 @@ fn drained_covers_ingests_parked_before_the_drain() {
     let mut wire = Vec::new();
     for block in [&a, &b] {
         wire.extend_from_slice(
-            &ams_net::Request::IngestBlock {
+            &ams_net::Request::IngestBlocks {
                 attribute: "v".into(),
-                block: block.clone(),
+                blocks: vec![block.clone()],
+                opts: ams_net::IngestOpts::default(),
             }
             .encode()
             .unwrap(),
@@ -317,8 +318,8 @@ fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
 
     // The reactor's series ride in the same snapshot: every request
     // frame this client sent was decoded — the pipelined blocks travel
-    // coalesced into IngestBlocks batch frames of INGEST_BATCH blocks,
-    // plus the drain and the metrics request itself — and every block
+    // coalesced into ingest frames of INGEST_BATCH blocks, plus the
+    // drain and the metrics request itself — and every block
     // still earned its own response frame, so encoded > decoded.
     let batch_frames = blocks.len().div_ceil(AmsClient::INGEST_BATCH) as u64;
     let decoded = metrics.counter_total("net_frames_decoded");

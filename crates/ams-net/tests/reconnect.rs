@@ -173,6 +173,36 @@ fn mid_pipeline_server_restart_loses_and_duplicates_nothing() {
 }
 
 #[test]
+fn durable_tagged_pipeline_keeps_full_batch_frames() {
+    // A durable, tagged pipeline must keep coalescing INGEST_BATCH
+    // blocks per frame after its window first fills — not decay to one
+    // block per frame — so the server decodes about N/INGEST_BATCH
+    // ingest frames, plus the drain and the metrics request itself.
+    const N: usize = 640;
+    let dir = TempDir::new("batch");
+    let handle = bind_and_spawn("127.0.0.1:0", dir.path());
+    let mut client = AmsClient::connect(handle.addr())
+        .unwrap()
+        .with_ack_mode(AckMode::Fsync)
+        .with_reconnect(ReconnectPolicy::default());
+
+    let blocks: Vec<OpBlock> = (0..N as u64).map(block).collect();
+    let outcomes = client.ingest_blocks("v", &blocks).unwrap();
+    assert!(outcomes.iter().all(|o| *o == IngestOutcome::Ingested));
+    client.drain().unwrap();
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.counter_total("service_routed_ops"), N as u64 * 64);
+
+    let decoded = metrics.counter_total("net_frames_decoded");
+    let bound = N.div_ceil(AmsClient::INGEST_BATCH) as u64 + 4;
+    assert!(
+        decoded <= bound,
+        "{decoded} frames decoded for {N} blocks, expected at most {bound}"
+    );
+    let _ = handle.stop();
+}
+
+#[test]
 fn fsync_acks_work_against_a_durability_off_server() {
     // AckMode::Fsync against a server with no WAL degrades to an
     // applied-by-workers ack instead of erroring or hanging.

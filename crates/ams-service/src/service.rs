@@ -366,31 +366,17 @@ impl AmsService {
         attribute: &str,
         block: OpBlock,
     ) -> Result<(), (OpBlock, ServiceError)> {
-        self.try_ingest_block_tagged_returning(attribute, block, None)
+        self.try_ingest_block_traced_returning(attribute, block, None, 0)
+            .map(|_| ())
     }
 
     /// [`Self::try_ingest_block_returning`] with an optional
     /// idempotency tag, honoured under the same routing condition as
-    /// [`Self::ingest_block_tagged`].
-    ///
-    /// # Errors
-    /// As for [`Self::try_ingest_block_returning`].
-    pub fn try_ingest_block_tagged_returning(
-        &self,
-        attribute: &str,
-        block: OpBlock,
-        tag: Option<IngestTag>,
-    ) -> Result<(), (OpBlock, ServiceError)> {
-        self.try_ingest_block_traced_returning(attribute, block, tag, 0)
-            .map(|_| ())
-    }
-
-    /// [`Self::try_ingest_block_tagged_returning`] carrying a request
-    /// trace id (`0` = untraced). When the router splits the block over
-    /// several shards, the trace rides the **first** placement only:
-    /// per-shard spans of one trace then never overlap, so an assembled
-    /// trace's span sum stays bounded by the request's end-to-end
-    /// latency.
+    /// [`Self::ingest_block_tagged`], and a request trace id (`0` =
+    /// untraced). When the router splits the block over several
+    /// shards, the trace rides the **first** placement only: per-shard
+    /// spans of one trace then never overlap, so an assembled trace's
+    /// span sum stays bounded by the request's end-to-end latency.
     ///
     /// On success the returned value is the trace-clock instant at
     /// which the traced placement entered its shard queue (`0` when
@@ -403,7 +389,7 @@ impl AmsService {
     /// spans, and counting it under `route` too would double-book it.
     ///
     /// # Errors
-    /// As for [`Self::try_ingest_block_tagged_returning`].
+    /// As for [`Self::try_ingest_block_returning`].
     pub fn try_ingest_block_traced_returning(
         &self,
         attribute: &str,
