@@ -34,10 +34,10 @@ use ams_hash::plane::SignPlane;
 use ams_hash::{PolySignPlane, SplitMix64};
 use ams_net::{AckMode, AmsClient, AssembledTrace, IngestOutcome, NetServer, NetServerConfig};
 use ams_service::{
-    AmsService, DurabilityConfig, FsyncPolicy, RouterPolicy, ServiceConfig, ServiceError,
+    AmsService, DurabilityConfig, FsyncPolicy, RouterPolicy, ServiceConfig, ServiceConfigBuilder,
+    ServiceError,
 };
 use ams_stream::{value_blocks, CoalesceBuffer, Multiset, OpBlock};
-use ams_telemetry::noop::{NoopCounter, NoopHistogram};
 use ams_telemetry::MetricsRegistry;
 use serde::Serialize;
 
@@ -102,7 +102,7 @@ struct Report {
     /// Fraction of wire submissions answered `Busy` (load-shed) during
     /// the 4-shard net series: `Busy` answers / total submissions.
     busy_rate: f64,
-    /// Instrumented-vs-noop cost of the telemetry kernel on the
+    /// Instrumented-vs-bare cost of the telemetry kernel on the
     /// block-256 zipf workload (the acceptance bound is ≤ 3%).
     telemetry_overhead: TelemetryOverhead,
     /// Estimator accuracy through the service-side health probes
@@ -111,7 +111,7 @@ struct Report {
     /// stream: the CI must cover the exact answer at the configured
     /// rate.
     accuracy: AccuracyBlock,
-    /// Enabled-vs-noop cost of the health observatory — event emission
+    /// Enabled-vs-disabled cost of the health observatory — event emission
     /// on the ingest path plus one full events + health scrape per run
     /// — against the same service with the hub disabled (the
     /// acceptance bound is ≤ 3%).
@@ -123,7 +123,7 @@ struct Report {
     durability_overhead_pct: DurabilityOverhead,
     /// Where tail latency goes: per-stage attribution of traced wire
     /// requests (durable and in-memory legs), plus the price of the
-    /// tracing machinery itself against its disabled noop twin.
+    /// tracing machinery itself against the disabled hub.
     tail_attribution: TailAttribution,
 }
 
@@ -157,7 +157,7 @@ struct StageShares {
 struct TracingOverhead {
     /// Traced ingest throughput with the trace hub armed.
     enabled_melem_s: f64,
-    /// The noop twin: identical traced submissions against a disabled
+    /// The off-switch: identical traced submissions against a disabled
     /// hub (every record collapses to one relaxed load + branch).
     disabled_melem_s: f64,
     /// Median paired slowdown of enabled vs disabled, in percent
@@ -189,7 +189,7 @@ struct DurabilityOverhead {
 
 #[derive(Serialize)]
 struct TelemetryOverhead {
-    /// Block-apply loop against the zero-cost noop twins.
+    /// The bare block-apply loop, with no instruments.
     noop_melem_s: f64,
     /// The same loop against live registry-backed instruments (per
     /// block: one span timer, one queue-wait record, one counter inc,
@@ -233,7 +233,7 @@ struct ObservabilityOverhead {
     /// Ingest+drain with the event hub armed plus one events + health
     /// scrape per run (the full observatory surface).
     enabled_melem_s: f64,
-    /// The noop twin: hub disabled (every emit collapses to one
+    /// The off-switch: hub disabled (every emit collapses to one
     /// relaxed load + branch), no scrapes.
     disabled_melem_s: f64,
     /// Median paired slowdown of enabled vs disabled, in percent
@@ -249,18 +249,94 @@ struct KernelPoint {
     lane_melem_s: f64,
 }
 
+/// Runs every leg once to warm it, then `samples` rounds of all legs,
+/// and returns each leg's wall-clock seconds per round. Round `i`
+/// starts at leg `i % legs.len()` and rotates through the rest (the
+/// wire-tax method), so slow drift and any systematic first-leg
+/// advantage land on every leg alike.
+fn paired(legs: &mut [&mut dyn FnMut()], samples: usize) -> Vec<Vec<f64>> {
+    for leg in legs.iter_mut() {
+        leg();
+    }
+    let n = legs.len();
+    let mut times = vec![Vec::with_capacity(samples); n];
+    for i in 0..samples {
+        for k in (0..n).map(|k| (i + k) % n) {
+            let start = Instant::now();
+            legs[k]();
+            times[k].push(start.elapsed().as_secs_f64());
+        }
+    }
+    times
+}
+
+/// The upper median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Rounded to 2 decimals for a stable, diff-friendly report file.
+fn round2(x: f64) -> f64 {
+    (x * 100.0).round() / 100.0
+}
+
+/// Median over rounds of `leg / base − 1`, in percent: the paired
+/// slowdown of `leg` against `base` (negative values are measurement
+/// noise).
+fn paired_pct(leg: &[f64], base: &[f64]) -> f64 {
+    round2(median(
+        leg.iter()
+            .zip(base)
+            .map(|(l, b)| (l / b - 1.0) * 100.0)
+            .collect(),
+    ))
+}
+
+/// Workload throughput at the median of per-round `times`.
+fn median_rate(times: &[f64]) -> f64 {
+    melem_per_s(UPDATES, median(times.to_vec()))
+}
+
 /// Median wall-clock seconds of `SAMPLES` runs (after one warm-up).
 fn median_secs<F: FnMut()>(mut f: F) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    median(paired(&mut [&mut f], SAMPLES).remove(0))
+}
+
+/// The sweep's service shape: `shards` round-robin shards over 64-deep
+/// queues, seed 1, publishing only when a drain asks.
+fn service_config(params: SketchParams, shards: usize) -> ServiceConfigBuilder {
+    ServiceConfig::builder()
+        .shards(shards)
+        .queue_capacity(64)
+        .sketch_params(params)
+        .seed(1)
+        .router(RouterPolicy::RoundRobin)
+        .publish_every(u64::MAX / 2)
+}
+
+/// Starts a service tracking the single attribute `v`.
+fn start(config: ServiceConfigBuilder) -> AmsService {
+    AmsService::start(config.build().expect("valid service config"), &["v"]).expect("start service")
+}
+
+/// Submits every block in-process (blocking on backpressure).
+fn ingest_all(service: &AmsService, blocks: &[OpBlock]) {
+    for block in blocks {
+        service
+            .ingest_block("v", block.clone())
+            .expect("service accepts while running");
+    }
+}
+
+/// Pipelines every block over the wire, resubmitting `Busy` answers.
+fn wire_ingest(client: &mut AmsClient, blocks: &[OpBlock]) {
+    let outcomes = client.ingest_blocks("v", blocks).expect("pipelined ingest");
+    for (block, outcome) in blocks.iter().zip(&outcomes) {
+        if matches!(outcome, IngestOutcome::Busy { .. }) {
+            client.ingest_block("v", block).expect("retried ingest");
+        }
+    }
 }
 
 /// Rounded to 4 decimals for a stable, diff-friendly report file.
@@ -374,65 +450,43 @@ fn main() {
     );
 
     // Price the telemetry kernel itself: the same block-apply loop run
-    // against live registry-backed instruments and against the noop
-    // twins, with the shard worker's exact per-task footprint (one
-    // queue-wait sample, one ingest span, two counter bumps). The two
-    // legs are timed in alternation — instrumented sample, then noop
-    // sample — so slow drift (frequency scaling, noisy neighbors)
-    // lands on both sides and the median ratio isolates the
-    // instrumentation cost.
+    // with live registry-backed instruments carrying the shard worker's
+    // exact per-task footprint (one queue-wait sample, one ingest span,
+    // two counter bumps) and bare, paired so slow drift (frequency
+    // scaling, noisy neighbors) lands on both legs and the median
+    // ratio isolates the instrumentation cost.
     let registry = MetricsRegistry::new();
     let ingest_hist = registry.histogram("bench_ingest_ns", &[]);
     let queue_wait = registry.histogram("bench_queue_wait_ns", &[]);
     let blocks_c = registry.counter("bench_blocks", &[]);
     let ops_c = registry.counter("bench_ops", &[]);
-    let noop_hist = NoopHistogram::new();
-    let noop_wait = NoopHistogram::new();
-    let noop_blocks = NoopCounter::new();
-    let noop_ops = NoopCounter::new();
     let mut tw_live: TugOfWarSketch = TugOfWarSketch::new(params, 1);
-    let mut tw_noop: TugOfWarSketch = TugOfWarSketch::new(params, 1);
-    let mut run_live = || {
-        for block in &blocks_256 {
-            let wait_start = Instant::now();
-            let span = ingest_hist.time();
-            tw_live.apply_block(block);
-            span.stop();
-            queue_wait.record_duration(wait_start.elapsed());
-            blocks_c.inc();
-            ops_c.add(block.values().len() as u64);
-        }
-    };
-    let mut run_noop = || {
-        for block in &blocks_256 {
-            let span = noop_hist.time();
-            tw_noop.apply_block(block);
-            span.stop();
-            noop_wait.record_duration(std::time::Duration::ZERO);
-            noop_blocks.inc();
-            noop_ops.add(block.values().len() as u64);
-        }
-    };
-    run_live();
-    run_noop();
-    const OVERHEAD_SAMPLES: usize = 21;
-    let mut live_times = Vec::with_capacity(OVERHEAD_SAMPLES);
-    let mut noop_times = Vec::with_capacity(OVERHEAD_SAMPLES);
-    for _ in 0..OVERHEAD_SAMPLES {
-        let start = Instant::now();
-        run_live();
-        live_times.push(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        run_noop();
-        noop_times.push(start.elapsed().as_secs_f64());
-    }
-    live_times.sort_by(f64::total_cmp);
-    noop_times.sort_by(f64::total_cmp);
-    let instrumented = melem_per_s(UPDATES, live_times[OVERHEAD_SAMPLES / 2]);
-    let noop = melem_per_s(UPDATES, noop_times[OVERHEAD_SAMPLES / 2]);
-    let overhead_pct = ((noop - instrumented) / noop * 100.0 * 100.0).round() / 100.0;
+    let mut tw_bare: TugOfWarSketch = TugOfWarSketch::new(params, 1);
+    let times = paired(
+        &mut [
+            &mut || {
+                for block in &blocks_256 {
+                    let wait_start = Instant::now();
+                    let span = ingest_hist.time();
+                    tw_live.apply_block(block);
+                    span.stop();
+                    queue_wait.record_duration(wait_start.elapsed());
+                    blocks_c.inc();
+                    ops_c.add(block.values().len() as u64);
+                }
+            },
+            &mut || {
+                for block in &blocks_256 {
+                    tw_bare.apply_block(block);
+                }
+            },
+        ],
+        21,
+    );
+    let (instrumented, noop) = (median_rate(&times[0]), median_rate(&times[1]));
+    let overhead_pct = round2((noop - instrumented) / noop * 100.0);
     eprintln!(
-        "telemetry overhead: noop {noop:.3} vs instrumented {instrumented:.3} Melem/s \
+        "telemetry overhead: bare {noop:.3} vs instrumented {instrumented:.3} Melem/s \
          ({overhead_pct:+.2}%)"
     );
     let telemetry_overhead = TelemetryOverhead {
@@ -449,12 +503,11 @@ fn main() {
     // self-join size of the same stream.
     let accuracy = {
         const ACC_SEEDS: u64 = 11;
-        let median_f64 = |mut v: Vec<f64>| -> f64 {
+        let median_f64 = |v: Vec<f64>| -> f64 {
             if v.is_empty() {
                 return 0.0;
             }
-            v.sort_by(f64::total_cmp);
-            (v[v.len() / 2] * 1e4).round() / 1e4
+            (median(v) * 1e4).round() / 1e4
         };
         let probe_stream = |label: &str, values: &[u64]| -> AccuracyStream {
             let exact = Multiset::from_values(values.iter().copied()).self_join_size() as f64;
@@ -463,18 +516,12 @@ fn main() {
             let mut audited = Vec::new();
             let mut skews = Vec::new();
             for seed in 1..=ACC_SEEDS {
-                let config = ServiceConfig::builder()
-                    .shards(1)
-                    .queue_capacity(64)
-                    .sketch_params(params)
-                    .seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .router(RouterPolicy::RoundRobin)
-                    .publish_every(u64::MAX / 2)
-                    .heavy_keys(8)
-                    .audit_every(4)
-                    .build()
-                    .expect("valid service config");
-                let service = AmsService::start(config, &["v"]).expect("start service");
+                let service = start(
+                    service_config(params, 1)
+                        .seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        .heavy_keys(8)
+                        .audit_every(4),
+                );
                 for block in value_blocks(values, SHARD_BLOCK) {
                     service
                         .ingest_block("v", block)
@@ -522,61 +569,28 @@ fn main() {
     // Price the observatory itself: the same ingest+drain loop with the
     // event hub armed plus one full events + health scrape per run,
     // against the identical service with the hub disabled and no
-    // scrapes. Strict alternation (the wire-tax method) so drift lands
-    // on both legs; the acceptance bound is ≤ 3%.
+    // scrapes, paired so drift lands on both legs; the acceptance
+    // bound is ≤ 3%.
     let observability_overhead = {
-        let config = ServiceConfig::builder()
-            .shards(1)
-            .queue_capacity(64)
-            .sketch_params(params)
-            .seed(1)
-            .router(RouterPolicy::RoundRobin)
-            .build()
-            .expect("valid service config");
-        let service = AmsService::start(config, &["v"]).expect("start service");
+        // The service's default publish cadence, so the enabled leg
+        // also pays for publish events.
+        let service = start(service_config(params, 1).publish_every(8));
         let hub = service.event_hub();
         let run = |scrape: bool| {
-            for block in &blocks_256 {
-                service
-                    .ingest_block("v", block.clone())
-                    .expect("service accepts while running");
-            }
+            hub.set_enabled(scrape);
+            ingest_all(&service, &blocks_256);
             service.drain();
             if scrape {
                 let _ = service.events();
                 let _ = service.health();
             }
         };
-        run(true);
-        run(false);
-        const OBS_SAMPLES: usize = 21;
-        let mut enabled_times = Vec::with_capacity(OBS_SAMPLES);
-        let mut disabled_times = Vec::with_capacity(OBS_SAMPLES);
-        for _ in 0..OBS_SAMPLES {
-            hub.set_enabled(true);
-            let start = Instant::now();
-            run(true);
-            enabled_times.push(start.elapsed().as_secs_f64());
-            hub.set_enabled(false);
-            let start = Instant::now();
-            run(false);
-            disabled_times.push(start.elapsed().as_secs_f64());
-        }
+        let times = paired(&mut [&mut || run(true), &mut || run(false)], 21);
         hub.set_enabled(true);
-        let mut pcts: Vec<f64> = enabled_times
-            .iter()
-            .zip(&disabled_times)
-            .map(|(e, d)| (e / d - 1.0) * 100.0)
-            .collect();
-        pcts.sort_by(f64::total_cmp);
-        let median = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
         let out = ObservabilityOverhead {
-            enabled_melem_s: melem_per_s(UPDATES, median(enabled_times)),
-            disabled_melem_s: melem_per_s(UPDATES, median(disabled_times)),
-            overhead_pct: (pcts[pcts.len() / 2] * 100.0).round() / 100.0,
+            enabled_melem_s: median_rate(&times[0]),
+            disabled_melem_s: median_rate(&times[1]),
+            overhead_pct: paired_pct(&times[0], &times[1]),
         };
         eprintln!(
             "observability overhead: enabled {:.3} vs disabled {:.3} Melem/s ({:+.2}%)",
@@ -590,24 +604,11 @@ fn main() {
     // the same workload, round-robin over block-256 submissions.
     let mut sharded_melem_s = BTreeMap::new();
     for shards in [1usize, 2, 4, 8] {
-        let config = ServiceConfig::builder()
-            .shards(shards)
-            .queue_capacity(64)
-            .sketch_params(params)
-            .seed(1)
-            .router(RouterPolicy::RoundRobin)
-            .publish_every(u64::MAX / 2)
-            .build()
-            .expect("valid service config");
-        let service = AmsService::start(config, &["v"]).expect("start service");
+        let service = start(service_config(params, shards));
         let rate = melem_per_s(
             UPDATES,
             median_secs(|| {
-                for block in &blocks_256 {
-                    service
-                        .ingest_block("v", block.clone())
-                        .expect("service accepts while running");
-                }
+                ingest_all(&service, &blocks_256);
                 service.drain();
             }),
         );
@@ -620,27 +621,19 @@ fn main() {
     // acked all the way to stable storage (ingest, then a durability
     // cut polled to completion) under each fsync policy, against a
     // durability-off baseline doing the equivalent applied-cut wait.
-    // The four legs run in strict rotation each sample so drift lands
-    // on all of them, and the overhead percents are medians of
-    // per-sample paired ratios (the wire-tax method).
+    // The four legs are paired so drift lands on all of them, and the
+    // overhead percents are medians of per-sample paired ratios.
     let durability_overhead_pct = {
         let bench_dir =
             std::env::temp_dir().join(format!("ams-bench-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&bench_dir);
         let build = |dir: Option<&str>, policy: FsyncPolicy| {
-            let mut builder = ServiceConfig::builder()
-                .shards(1)
-                .queue_capacity(64)
-                .sketch_params(params)
-                .seed(1)
-                .router(RouterPolicy::RoundRobin)
-                .publish_every(u64::MAX / 2);
+            let mut config = service_config(params, 1);
             if let Some(dir) = dir {
-                builder = builder
+                config = config
                     .durability(DurabilityConfig::new(bench_dir.join(dir)).with_fsync(policy));
             }
-            AmsService::start(builder.build().expect("valid service config"), &["v"])
-                .expect("start service")
+            start(config)
         };
         let legs = [
             build(None, FsyncPolicy::OsBuffered),
@@ -654,47 +647,27 @@ fn main() {
             build(Some("per-append"), FsyncPolicy::PerAppend),
         ];
         let run = |service: &AmsService| {
-            for block in &blocks_256 {
-                service
-                    .ingest_block("v", block.clone())
-                    .expect("service accepts while running");
-            }
+            ingest_all(service, &blocks_256);
             let cut = service.durability_cut();
             while !service.poll_durable(&cut) {
                 std::thread::yield_now();
             }
         };
-        const DUR_SAMPLES: usize = 15;
-        let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(DUR_SAMPLES); legs.len()];
-        for leg in &legs {
-            run(leg);
-        }
-        for _ in 0..DUR_SAMPLES {
-            for (leg, slot) in legs.iter().zip(times.iter_mut()) {
-                let start = Instant::now();
-                run(leg);
-                slot.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let rate = |samples: &[f64]| {
-            let mut sorted = samples.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            melem_per_s(UPDATES, sorted[sorted.len() / 2])
-        };
-        let paired_pct = |leg: &[f64], base: &[f64]| {
-            let mut pcts: Vec<f64> = leg
-                .iter()
-                .zip(base)
-                .map(|(l, b)| (l / b - 1.0) * 100.0)
-                .collect();
-            pcts.sort_by(f64::total_cmp);
-            (pcts[pcts.len() / 2] * 100.0).round() / 100.0
-        };
+        let [off, os_buffered, group_commit, per_append] = &legs;
+        let times = paired(
+            &mut [
+                &mut || run(off),
+                &mut || run(os_buffered),
+                &mut || run(group_commit),
+                &mut || run(per_append),
+            ],
+            15,
+        );
         let overhead = DurabilityOverhead {
-            off_melem_s: rate(&times[0]),
-            os_buffered_melem_s: rate(&times[1]),
-            group_commit_melem_s: rate(&times[2]),
-            per_append_melem_s: rate(&times[3]),
+            off_melem_s: median_rate(&times[0]),
+            os_buffered_melem_s: median_rate(&times[1]),
+            group_commit_melem_s: median_rate(&times[2]),
+            per_append_melem_s: median_rate(&times[3]),
             group_commit_pct: paired_pct(&times[2], &times[0]),
             per_append_pct: paired_pct(&times[3], &times[0]),
         };
@@ -724,31 +697,14 @@ fn main() {
     let mut latency_p99_ns = 0u64;
     let mut busy_rate = 0.0f64;
     for shards in [1usize, 4] {
-        let config = ServiceConfig::builder()
-            .shards(shards)
-            .queue_capacity(64)
-            .sketch_params(params)
-            .seed(1)
-            .router(RouterPolicy::RoundRobin)
-            .publish_every(u64::MAX / 2)
-            .build()
-            .expect("valid service config");
-        let service = AmsService::start(config, &["v"]).expect("start service");
         let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr();
-        let handle = server.spawn(service);
+        let handle = server.spawn(start(service_config(params, shards)));
         let mut client = AmsClient::connect(addr).expect("connect loopback");
         let rate = melem_per_s(
             UPDATES,
             median_secs(|| {
-                let outcomes = client
-                    .ingest_blocks("v", &blocks_256)
-                    .expect("pipelined ingest");
-                for (block, outcome) in blocks_256.iter().zip(&outcomes) {
-                    if matches!(outcome, IngestOutcome::Busy { .. }) {
-                        client.ingest_block("v", block).expect("retried ingest");
-                    }
-                }
+                wire_ingest(&mut client, &blocks_256);
                 client.drain().expect("wire drain");
             }),
         );
@@ -782,76 +738,35 @@ fn main() {
     // services, and the median of the per-sample ratios isolates what
     // the wire path itself costs.
     let wire_tax_pct = {
-        let build = || {
-            let config = ServiceConfig::builder()
-                .shards(4)
-                .queue_capacity(64)
-                .sketch_params(params)
-                .seed(1)
-                .router(RouterPolicy::RoundRobin)
-                .publish_every(u64::MAX / 2)
-                .build()
-                .expect("valid service config");
-            AmsService::start(config, &["v"]).expect("start service")
-        };
-        let inproc = build();
+        let inproc = start(service_config(params, 4));
         let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr();
-        let handle = server.spawn(build());
+        let handle = server.spawn(start(service_config(params, 4)));
         let mut client = AmsClient::connect(addr).expect("connect loopback");
-        let run_inproc = || {
-            for block in &blocks_256 {
-                inproc
-                    .ingest_block("v", block.clone())
-                    .expect("service accepts while running");
-            }
+        let mut run_inproc = || {
+            ingest_all(&inproc, &blocks_256);
             inproc.drain();
         };
-        let run_net = |client: &mut AmsClient| {
-            let outcomes = client
-                .ingest_blocks("v", &blocks_256)
-                .expect("pipelined ingest");
-            for (block, outcome) in blocks_256.iter().zip(&outcomes) {
-                if matches!(outcome, IngestOutcome::Busy { .. }) {
-                    client.ingest_block("v", block).expect("retried ingest");
-                }
-            }
+        let mut run_net = || {
+            wire_ingest(&mut client, &blocks_256);
             client.drain().expect("wire drain");
         };
-        run_inproc();
-        run_net(&mut client);
         // Far more samples than the throughput series: the tax is a
         // ratio of two same-order quantities, so per-sample scheduling
         // noise (±25% on a busy single-core host) dwarfs the signal
-        // and only a large-sample median pins it down. Leg order
-        // alternates so a systematic first-leg advantage (cache
-        // warm-up, lagging frequency scaling) cancels in the median.
-        const TAX_SAMPLES: usize = 101;
-        let mut taxes: Vec<f64> = (0..TAX_SAMPLES)
-            .map(|i| {
-                let (t_in, t_net) = if i % 2 == 0 {
-                    let start = Instant::now();
-                    run_inproc();
-                    let t_in = start.elapsed().as_secs_f64();
-                    let start = Instant::now();
-                    run_net(&mut client);
-                    (t_in, start.elapsed().as_secs_f64())
-                } else {
-                    let start = Instant::now();
-                    run_net(&mut client);
-                    let t_net = start.elapsed().as_secs_f64();
-                    let start = Instant::now();
-                    run_inproc();
-                    (start.elapsed().as_secs_f64(), t_net)
-                };
-                (1.0 - t_in / t_net) * 100.0
-            })
-            .collect();
-        taxes.sort_by(f64::total_cmp);
+        // and only a large-sample median pins it down.
+        let times = paired(&mut [&mut run_inproc, &mut run_net], 101);
+        let tax = round2(median(
+            times[0]
+                .iter()
+                .zip(&times[1])
+                .map(|(t_in, t_net)| (1.0 - t_in / t_net) * 100.0)
+                .collect(),
+        ));
         drop(client);
         handle.stop();
         drop(inproc);
-        (taxes[TAX_SAMPLES / 2] * 100.0).round() / 100.0
+        tax
     };
     eprintln!("wire tax: {wire_tax_pct:.2}% (paired in-process vs loopback, 4 shards)");
 
@@ -868,16 +783,7 @@ fn main() {
         for reactors in [1usize, 2, 4] {
             let mut row = BTreeMap::new();
             for shards in [1usize, 4] {
-                let config = ServiceConfig::builder()
-                    .shards(shards)
-                    .queue_capacity(64)
-                    .sketch_params(params)
-                    .seed(1)
-                    .router(RouterPolicy::RoundRobin)
-                    .publish_every(u64::MAX / 2)
-                    .build()
-                    .expect("valid service config");
-                let service = AmsService::start(config, &["v"]).expect("start service");
+                let service = start(service_config(params, shards));
                 let server = NetServer::bind_with(
                     "127.0.0.1:0",
                     NetServerConfig {
@@ -908,17 +814,7 @@ fn main() {
                     median_secs(|| {
                         std::thread::scope(|scope| {
                             for (client, part) in clients.iter_mut().zip(&parts) {
-                                scope.spawn(move || {
-                                    let outcomes =
-                                        client.ingest_blocks("v", part).expect("pipelined ingest");
-                                    for (block, outcome) in part.iter().zip(&outcomes) {
-                                        if matches!(outcome, IngestOutcome::Busy { .. }) {
-                                            client
-                                                .ingest_block("v", block)
-                                                .expect("retried ingest");
-                                        }
-                                    }
-                                });
+                                scope.spawn(move || wire_ingest(client, part));
                             }
                         });
                         clients[0].drain().expect("wire drain");
@@ -955,33 +851,24 @@ fn main() {
     // as assembled traces, and broken down per stage. Two legs: acked
     // at acceptance (in-memory) and acked after fsync (group-commit
     // WAL). A third, paired leg prices the tracing machinery itself
-    // against its disabled noop twin on the in-process path.
+    // against the disabled hub on the in-process path.
     let tail_attribution = {
         let trace_dir =
             std::env::temp_dir().join(format!("ams-bench-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&trace_dir);
         let traced_leg = |durable: bool| -> Vec<AssembledTrace> {
-            let mut builder = ServiceConfig::builder()
-                .shards(1)
-                .queue_capacity(64)
-                .sketch_params(params)
-                .seed(1)
-                .router(RouterPolicy::RoundRobin)
-                .publish_every(u64::MAX / 2);
+            let mut config = service_config(params, 1);
             if durable {
-                builder = builder.durability(
-                    DurabilityConfig::new(trace_dir.join("durable")).with_fsync(
+                config =
+                    config.durability(DurabilityConfig::new(trace_dir.join("durable")).with_fsync(
                         FsyncPolicy::GroupCommit {
                             interval: Duration::from_millis(2),
                         },
-                    ),
-                );
+                    ));
             }
-            let service = AmsService::start(builder.build().expect("valid service config"), &["v"])
-                .expect("start service");
             let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
             let addr = server.local_addr();
-            let handle = server.spawn(service);
+            let handle = server.spawn(start(config));
             let mut client = AmsClient::connect(addr)
                 .expect("connect loopback")
                 .with_tracing(1);
@@ -1050,27 +937,24 @@ fn main() {
         let in_memory = shares(&traced_leg(false), "in_memory");
         let _ = std::fs::remove_dir_all(&trace_dir);
 
-        // The noop twin: identical traced submissions through the
-        // in-process service, hub armed vs hub disabled, in strict
-        // alternation (the wire-tax method) so drift cancels.
-        let config = ServiceConfig::builder()
-            .shards(1)
-            .queue_capacity(64)
-            .sketch_params(params)
-            .seed(1)
-            .router(RouterPolicy::RoundRobin)
-            .publish_every(u64::MAX / 2)
-            .build()
-            .expect("valid service config");
-        let service = AmsService::start(config, &["v"]).expect("start service");
+        // The off-switch: identical traced submissions through the
+        // in-process service, hub armed vs hub disabled, paired so
+        // drift cancels.
+        let service = start(service_config(params, 1));
         let hub = service.trace_hub();
-        let mut next_id = 1u64;
-        let run_traced = |service: &AmsService, next_id: &mut u64| {
+        let next_id = std::cell::Cell::new(1u64);
+        let run_traced = |armed: bool| {
+            hub.set_enabled(armed);
             for block in &blocks_256 {
-                *next_id += 1;
+                next_id.set(next_id.get() + 1);
                 let mut attempt = block.clone();
                 loop {
-                    match service.try_ingest_block_traced_returning("v", attempt, None, *next_id) {
+                    match service.try_ingest_block_traced_returning(
+                        "v",
+                        attempt,
+                        None,
+                        next_id.get(),
+                    ) {
                         Ok(_) => break,
                         Err((back, ServiceError::WouldBlock { .. })) => {
                             attempt = back;
@@ -1082,35 +966,15 @@ fn main() {
             }
             service.drain();
         };
-        run_traced(&service, &mut next_id);
-        const TRACE_SAMPLES: usize = 21;
-        let mut enabled_times = Vec::with_capacity(TRACE_SAMPLES);
-        let mut disabled_times = Vec::with_capacity(TRACE_SAMPLES);
-        for _ in 0..TRACE_SAMPLES {
-            hub.set_enabled(true);
-            let start = Instant::now();
-            run_traced(&service, &mut next_id);
-            enabled_times.push(start.elapsed().as_secs_f64());
-            hub.set_enabled(false);
-            let start = Instant::now();
-            run_traced(&service, &mut next_id);
-            disabled_times.push(start.elapsed().as_secs_f64());
-        }
+        let times = paired(
+            &mut [&mut || run_traced(true), &mut || run_traced(false)],
+            21,
+        );
         hub.set_enabled(true);
-        let mut pcts: Vec<f64> = enabled_times
-            .iter()
-            .zip(&disabled_times)
-            .map(|(e, d)| (e / d - 1.0) * 100.0)
-            .collect();
-        pcts.sort_by(f64::total_cmp);
-        let median = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
         let tracing_overhead = TracingOverhead {
-            enabled_melem_s: melem_per_s(UPDATES, median(enabled_times)),
-            disabled_melem_s: melem_per_s(UPDATES, median(disabled_times)),
-            overhead_pct: (pcts[pcts.len() / 2] * 100.0).round() / 100.0,
+            enabled_melem_s: median_rate(&times[0]),
+            disabled_melem_s: median_rate(&times[1]),
+            overhead_pct: paired_pct(&times[0], &times[1]),
         };
         eprintln!(
             "tracing overhead: enabled {:.3} vs disabled {:.3} Melem/s ({:+.2}%)",
@@ -1158,7 +1022,43 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use serde::Serialize;
+
+    use super::{paired, paired_pct};
+
+    #[test]
+    fn paired_warms_each_leg_once_and_rotates_the_first_leg() {
+        let order = RefCell::new(Vec::new());
+        let times = paired(
+            &mut [
+                &mut || order.borrow_mut().push(0),
+                &mut || order.borrow_mut().push(1),
+                &mut || order.borrow_mut().push(2),
+            ],
+            4,
+        );
+        assert_eq!(
+            order.into_inner(),
+            [[0, 1, 2], [0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 1, 2]].concat(),
+            "one warm-up round, then each round starts one leg later"
+        );
+        assert!(times.iter().all(|leg| leg.len() == 4));
+    }
+
+    #[test]
+    fn paired_pct_is_the_median_of_per_round_ratios() {
+        // Odd rounds: slowdowns +10 %, +50 %, −10 % → median +10 %.
+        assert_eq!(paired_pct(&[1.1, 3.0, 0.9], &[1.0, 2.0, 1.0]), 10.0);
+        // Even rounds take the upper median: −10, +10, +50, +100 → +50.
+        assert_eq!(
+            paired_pct(&[0.9, 1.1, 1.5, 4.0], &[1.0, 1.0, 1.0, 2.0]),
+            50.0
+        );
+        // A ratio of medians would differ: it is the rounds that pair.
+        assert_eq!(paired_pct(&[2.0, 1.0], &[1.0, 2.0]), 100.0);
+    }
 
     /// `net_scaling` must be *absent* from BENCH_ingest.json on hosts
     /// that can't measure it — an explicit `null` would read as "we

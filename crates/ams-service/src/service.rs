@@ -463,14 +463,6 @@ impl AmsService {
         self.ingest_block(attribute, OpBlock::from_values(values.iter().copied()))
     }
 
-    /// Convenience: non-blocking variant of [`Self::ingest_values`].
-    ///
-    /// # Errors
-    /// As for [`Self::try_ingest_block`].
-    pub fn try_ingest_values(&self, attribute: &str, values: &[Value]) -> Result<(), ServiceError> {
-        self.try_ingest_block(attribute, OpBlock::from_values(values.iter().copied()))
-    }
-
     /// Merge-on-query: merges every shard's latest published snapshot
     /// into one queryable [`ServiceSnapshot`]. Never blocks ingestion;
     /// the view may lag in-flight blocks by at most the publish cadence
@@ -692,7 +684,7 @@ impl AmsService {
     /// The request-tracing hub behind this service. Front-ends borrow
     /// per-thread recorders from it for their wire-side spans, offer
     /// completed requests to its tail sampler, and flip sampling with
-    /// [`TraceHub::set_enabled`].
+    /// its [`ams_telemetry::RingHub::set_enabled`].
     pub fn trace_hub(&self) -> Arc<TraceHub> {
         Arc::clone(&self.trace_hub)
     }
@@ -717,8 +709,8 @@ impl AmsService {
     /// publishes, checkpoints, WAL rotation/truncation/failures, dedup
     /// skips, plus whatever events front-ends recorded. Rings are
     /// bounded and overwrite their oldest entries; the exact overwrite
-    /// count is `EventHub::dropped_events`. This is what the wire
-    /// `Events` request returns.
+    /// count is `EventHub::dropped` (the `service_events_dropped`
+    /// gauge). This is what the wire `Events` request returns.
     pub fn events(&self) -> Vec<ServiceEvent> {
         self.event_hub.collect_wire()
     }
@@ -909,7 +901,10 @@ impl AmsService {
             .set((imbalance * 1000.0) as i64);
         registry
             .gauge("service_events_dropped", &[])
-            .set(self.event_hub.dropped_events() as i64);
+            .set(self.event_hub.dropped() as i64);
+        registry
+            .gauge("service_spans_dropped", &[])
+            .set(self.trace_hub.dropped() as i64);
         for report in accuracy {
             let labels = [("attribute", report.attribute.as_str())];
             registry
@@ -1067,7 +1062,7 @@ mod tests {
             Err(ServiceError::Closed)
         ));
         assert!(matches!(
-            service.try_ingest_values("a", &[4]),
+            service.try_ingest_block("a", OpBlock::from_values([4])),
             Err(ServiceError::Closed)
         ));
         let (snapshot, _) = service.shutdown();
@@ -1176,7 +1171,7 @@ mod tests {
         let mut saw_rejection = false;
         for _ in 0..10_000 {
             if matches!(
-                service.try_ingest_values("a", &[1, 2, 3]),
+                service.try_ingest_block("a", OpBlock::from_values([1, 2, 3])),
                 Err(ServiceError::WouldBlock { .. })
             ) {
                 saw_rejection = true;
@@ -1499,6 +1494,28 @@ mod tests {
             .unwrap();
         service.drain();
         assert!(service.trace_hub().assemble_all().is_empty());
+
+        // Re-armed, traced ingests overflow the shard's span ring; the
+        // exact overwrite count surfaces as a health-scrape gauge.
+        let hub = service.trace_hub();
+        hub.set_enabled(true);
+        for id in 1..=2 * ams_telemetry::trace::DEFAULT_RING_CAPACITY as u64 {
+            let mut block = OpBlock::from_values([id]);
+            while let Err((back, _)) =
+                service.try_ingest_block_traced_returning("a", block, None, id)
+            {
+                block = back;
+                std::thread::yield_now();
+            }
+        }
+        service.drain();
+        let _ = service.health();
+        let dropped = service
+            .metrics_snapshot()
+            .gauge("service_spans_dropped", &[])
+            .expect("health scrape exports span drops");
+        assert!(dropped > 0, "span ring never overflowed");
+        assert_eq!(dropped as u64, hub.dropped());
     }
 
     #[test]

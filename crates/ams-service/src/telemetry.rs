@@ -26,6 +26,7 @@
 //! | `service_health_status` | gauge | folded verdict: 0 healthy, 1 degraded, 2 unhealthy |
 //! | `service_shard_imbalance_ratio` | gauge | max/min windowed routed ops across shards, × 1000 |
 //! | `service_events_dropped` | gauge | events lost to ring overwrite, exact count |
+//! | `service_spans_dropped` | gauge | trace spans lost to ring overwrite, exact count |
 //! | `service_estimate{attribute}` | gauge | merged self-join estimate |
 //! | `service_estimate_ci_lower{attribute}` | gauge | confidence interval lower bound |
 //! | `service_estimate_ci_upper{attribute}` | gauge | confidence interval upper bound |

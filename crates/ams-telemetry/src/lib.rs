@@ -25,18 +25,19 @@
 //!   handles; [`MetricsRegistry::snapshot`] produces a serializable
 //!   [`MetricsSnapshot`] with Prometheus-style
 //!   `name{label="v"} value` text exposition.
-//! * [`noop`] — API-identical zero-cost twins, the baseline a bench
-//!   harness compares against to price the instrumentation itself.
-//! * [`trace`] — per-request tracing: bounded per-thread span rings
-//!   ([`SpanRing`]: overwrite-oldest, exact drop counter, fixed
-//!   footprint), a completion-time tail sampler keeping the slowest-N
-//!   requests per window, and scrape-time assembly of complete
-//!   stage-by-stage traces ([`TraceHub::assemble`]).
-//! * [`event`] — the structured event log: bounded per-thread event
-//!   rings ([`EventRing`]: level, code, timestamp, key/value payload;
-//!   same overwrite-oldest + exact-drop-counter discipline as the span
-//!   rings) collected into timestamp order at scrape time
-//!   ([`EventHub::collect`]).
+//! * [`ring`] — the one bounded per-thread record ring under spans and
+//!   events ([`SeqlockRing`]: per-slot seqlock, overwrite-oldest, exact
+//!   drop counter, fixed footprint), its [`Recorder`] handles, and the
+//!   [`RingHub`] that registers them and carries the single runtime
+//!   off-switch ([`RingHub::set_enabled`]) used to price the
+//!   instrumentation itself.
+//! * [`trace`] — per-request tracing: span rings ([`SpanRing`]), a
+//!   completion-time tail sampler keeping the slowest-N requests per
+//!   window, and scrape-time assembly of complete stage-by-stage traces
+//!   ([`TraceHub::assemble`]).
+//! * [`event`] — the structured event log: event rings ([`EventRing`]:
+//!   level, code, timestamp, key/value payload) collected into
+//!   timestamp order at scrape time ([`EventHub::collect`]).
 //! * [`health`] — windowed health grading: derived signals compared
 //!   against degraded/unhealthy thresholds, folded into a
 //!   [`HealthVerdict`] with reasons, alongside per-attribute
@@ -56,8 +57,8 @@ pub mod event;
 pub mod health;
 pub mod histogram;
 pub mod memory;
-pub mod noop;
 pub mod registry;
+pub mod ring;
 pub mod timer;
 pub mod trace;
 
@@ -70,6 +71,7 @@ pub use health::{AccuracyReport, HealthReport, HealthSignal, HealthVerdict, Sign
 pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use memory::MemoryTracker;
 pub use registry::{MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use ring::{Recorder, RingHub, RingRecord, SeqlockRing};
 pub use timer::ScopedTimer;
 pub use trace::{
     trace_clock_ns, AssembledTrace, SpanRecord, SpanRing, TailSampler, TraceCtx, TraceHub,
