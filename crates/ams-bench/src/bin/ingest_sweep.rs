@@ -18,8 +18,9 @@
 //! coordination overhead, not scaling). The wire series additionally
 //! records `wire_tax_pct` (framing + checksum + loopback cost vs the
 //! in-process service) and, when `cores > 1`, a `net_scaling`
-//! reactors × shards matrix driven by one client connection per
-//! reactor — omitted on single-core hosts rather than fabricated.
+//! connections × shards matrix, each connection served by its own
+//! reader and writer threads — omitted on single-core hosts rather
+//! than fabricated.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -32,7 +33,7 @@ use ams_datagen::DatasetId;
 use ams_hash::lanes::PlaneScratch;
 use ams_hash::plane::SignPlane;
 use ams_hash::{PolySignPlane, SplitMix64};
-use ams_net::{AckMode, AmsClient, AssembledTrace, IngestOutcome, NetServer, NetServerConfig};
+use ams_net::{AckMode, AmsClient, AssembledTrace, IngestOutcome, NetServer};
 use ams_service::{
     AmsService, DurabilityConfig, FsyncPolicy, RouterPolicy, ServiceConfig, ServiceConfigBuilder,
     ServiceError,
@@ -86,9 +87,9 @@ struct Report {
     /// is reported — so slow drift lands on both sides instead of
     /// skewing the ratio.
     wire_tax_pct: f64,
-    /// Multi-reactor scaling matrix, reactors → shards → aggregate
-    /// Melem/s, with one client connection per reactor driving a
-    /// disjoint slice of the block stream. Recorded only when the host
+    /// Connection scaling matrix, connections → shards → aggregate
+    /// Melem/s, each client connection driving a disjoint slice of the
+    /// block stream through its own server-side reader and writer. Recorded only when the host
     /// has real hardware parallelism (`cores > 1`); on a single-core
     /// host the field is absent rather than a fabricated flat line.
     #[serde(skip_serializing_if = "Option::is_none")]
@@ -168,7 +169,7 @@ struct TracingOverhead {
 #[derive(Serialize)]
 struct DurabilityOverhead {
     /// Durability-off baseline: 1-shard block-256 ingest, acked by an
-    /// applied-cut poll (what `poll_durable` degrades to without a
+    /// applied-cut wait (what `wait_durable` degrades to without a
     /// WAL).
     off_melem_s: f64,
     /// WAL appends, no fsync on the append path (rotation/checkpoint
@@ -619,7 +620,7 @@ fn main() {
 
     // Price the durability layer: the same 1-shard block-256 workload
     // acked all the way to stable storage (ingest, then a durability
-    // cut polled to completion) under each fsync policy, against a
+    // cut waited for) under each fsync policy, against a
     // durability-off baseline doing the equivalent applied-cut wait.
     // The four legs are paired so drift lands on all of them, and the
     // overhead percents are medians of per-sample paired ratios.
@@ -649,9 +650,7 @@ fn main() {
         let run = |service: &AmsService| {
             ingest_all(service, &blocks_256);
             let cut = service.durability_cut();
-            while !service.poll_durable(&cut) {
-                std::thread::yield_now();
-            }
+            assert!(service.wait_durable(&cut).is_some(), "durable leg wedged");
         };
         let [off, os_buffered, group_commit, per_append] = &legs;
         let times = paired(
@@ -770,41 +769,34 @@ fn main() {
     };
     eprintln!("wire tax: {wire_tax_pct:.2}% (paired in-process vs loopback, 4 shards)");
 
-    // Multi-reactor scaling matrix: the same wire workload driven by R
-    // concurrent client connections against an R-reactor server. Only
-    // meaningful with real hardware parallelism — on a single-core
-    // host every reactor count time-slices the same CPU, so the matrix
-    // is omitted entirely rather than recorded as a fabricated flat
-    // line.
+    // Connection scaling matrix: the same wire workload driven by C
+    // concurrent client connections, each served by its own reader and
+    // writer threads. Only meaningful with real hardware parallelism —
+    // on a single-core host every connection count time-slices the same
+    // CPU, so the matrix is omitted entirely rather than recorded as a
+    // fabricated flat line.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut net_scaling: Option<BTreeMap<usize, BTreeMap<usize, f64>>> = None;
     if cores > 1 {
         let mut matrix = BTreeMap::new();
-        for reactors in [1usize, 2, 4] {
+        for connections in [1usize, 2, 4] {
             let mut row = BTreeMap::new();
             for shards in [1usize, 4] {
                 let service = start(service_config(params, shards));
-                let server = NetServer::bind_with(
-                    "127.0.0.1:0",
-                    NetServerConfig {
-                        reactors,
-                        ..NetServerConfig::default()
-                    },
-                )
-                .expect("bind loopback");
+                let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
                 let addr = server.local_addr();
                 let handle = server.spawn(service);
-                // One connection per reactor, each pipelining a
-                // disjoint interleaved slice of the block stream.
-                let mut clients: Vec<AmsClient> = (0..reactors)
+                // Each connection pipelines a disjoint interleaved
+                // slice of the block stream.
+                let mut clients: Vec<AmsClient> = (0..connections)
                     .map(|_| AmsClient::connect(addr).expect("connect loopback"))
                     .collect();
-                let parts: Vec<Vec<OpBlock>> = (0..reactors)
-                    .map(|r| {
+                let parts: Vec<Vec<OpBlock>> = (0..connections)
+                    .map(|c| {
                         blocks_256
                             .iter()
-                            .skip(r)
-                            .step_by(reactors)
+                            .skip(c)
+                            .step_by(connections)
                             .cloned()
                             .collect()
                     })
@@ -820,23 +812,25 @@ fn main() {
                         clients[0].drain().expect("wire drain");
                     }),
                 );
-                eprintln!("net_scaling reactors={reactors} shards={shards}: {rate:.3} Melem/s");
+                eprintln!(
+                    "net_scaling connections={connections} shards={shards}: {rate:.3} Melem/s"
+                );
                 row.insert(shards, rate);
                 drop(clients);
                 handle.stop();
             }
-            matrix.insert(reactors, row);
+            matrix.insert(connections, row);
         }
         if cores >= 4 {
-            let (r1, r4) = (matrix[&1][&4], matrix[&4][&4]);
+            let (c1, c4) = (matrix[&1][&4], matrix[&4][&4]);
             assert!(
-                r4 >= 1.5 * r1,
-                "net scaling regression: 4 reactors at {r4:.3} Melem/s is below \
-                 1.5x the 1-reactor {r1:.3} Melem/s baseline"
+                c4 >= 1.5 * c1,
+                "net scaling regression: 4 connections at {c4:.3} Melem/s is below \
+                 1.5x the 1-connection {c1:.3} Melem/s baseline"
             );
         } else {
             eprintln!(
-                "net_scaling: only {cores} cores, matrix recorded without the 4-reactor \
+                "net_scaling: only {cores} cores, matrix recorded without the 4-connection \
                  1.5x assertion"
             );
         }

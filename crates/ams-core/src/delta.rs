@@ -64,11 +64,6 @@ impl<H: SignFamily + Clone> DeltaTracker<H> {
         self.live.estimate()
     }
 
-    /// The self-join estimate at the last checkpoint.
-    pub fn checkpoint_estimate(&self) -> f64 {
-        self.checkpoint.estimate()
-    }
-
     /// Marks the current state as the new checkpoint.
     pub fn commit(&mut self) {
         self.checkpoint = self.live.clone();

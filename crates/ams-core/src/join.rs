@@ -75,16 +75,6 @@ impl JoinSignatureFamily {
         })
     }
 
-    /// A family with median-of-means aggregation (`s1` per group, `s2`
-    /// groups) instead of a single mean — tighter tails for the same
-    /// total space.
-    pub fn with_groups(s1: usize, s2: usize, seed: u64) -> Result<Self, SketchError> {
-        Ok(Self {
-            params: SketchParams::new(s1, s2)?,
-            seed,
-        })
-    }
-
     /// Signature size in counters (k).
     pub fn k(&self) -> usize {
         self.params.total()

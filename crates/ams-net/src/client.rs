@@ -197,7 +197,7 @@ impl AmsClient {
     /// Blocks coalesced into one ingest frame by
     /// [`Self::ingest_blocks`]: enough to amortize the frame header,
     /// checksum, per-frame dispatch, and (on small hosts) the
-    /// client↔reactor scheduling ping-pong, while keeping several
+    /// client↔server scheduling ping-pong, while keeping several
     /// batches in flight inside the pipeline window.
     pub const INGEST_BATCH: usize = 16;
 
@@ -783,7 +783,7 @@ impl AmsClient {
 
     /// Scrapes the server's metrics registry over the wire: every
     /// `service_*` series (per-shard counters, latency histograms,
-    /// sketch memory gauges) plus the reactor's `net_*` series, as a
+    /// sketch memory gauges) plus the front-end's `net_*` series, as a
     /// typed [`MetricsSnapshot`]. Render it with
     /// [`MetricsSnapshot::render_text`] for a Prometheus-style dump.
     ///
@@ -815,8 +815,8 @@ impl AmsClient {
 
     /// Scrapes the server's structured event rings over the wire:
     /// shard lifecycle (start/stop, recovery, publishes, checkpoints),
-    /// WAL rotation and failures, dedup skips, sheds, read gates, and
-    /// reactor start/stop — merged oldest first.
+    /// WAL rotation and failures, dedup skips, and the front-end's
+    /// start/stop — merged oldest first.
     ///
     /// # Errors
     /// Transport or server errors.

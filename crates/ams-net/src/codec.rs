@@ -276,7 +276,7 @@ pub enum Request {
     /// confidence interval, audited error, skew), and the folded
     /// Healthy/Degraded/Unhealthy verdict.
     Health,
-    /// Wait (server-side, without blocking the reactor) until every
+    /// Wait (server-side, without blocking later requests) until every
     /// block accepted before this request is reflected in snapshots.
     Drain,
     /// Gracefully stop the server; answered with
@@ -290,8 +290,9 @@ pub enum Response {
     /// The ingest landed in the service's shard queues.
     Ingested,
     /// The ingest was load-shed: a shard queue was full and the
-    /// connection's retry ring had no room. Nothing was applied —
-    /// resubmit after the hint.
+    /// server chose not to wait. Nothing was applied — resubmit after
+    /// the hint. (The bundled server never sheds: a full queue slows
+    /// the connection down instead.)
     Busy {
         /// The shard whose queue was full.
         shard: u32,
@@ -321,7 +322,7 @@ pub enum Response {
     },
     /// Answer to [`Request::Metrics`].
     Metrics {
-        /// The full instrument snapshot (service + reactor series).
+        /// The full instrument snapshot (service + front-end series).
         snapshot: MetricsSnapshot,
     },
     /// Answer to [`Request::Traces`].
@@ -769,9 +770,8 @@ impl Request {
 
 impl Response {
     /// Encodes this response into `out` as one complete frame, reusing
-    /// the buffer's capacity (cleared first) — the reactor's hot path,
-    /// paired with its per-reactor frame pool so steady-state response
-    /// encoding allocates nothing.
+    /// the buffer's capacity (cleared first), so a caller that keeps
+    /// its buffer encodes without allocating.
     ///
     /// # Errors
     /// [`FrameError`] when the response exceeds the frame-size limit
@@ -974,7 +974,7 @@ impl FrameDecoder {
 
     /// Extracts the next complete frame, verifying the header and
     /// checksum, and returns its body **borrowed from the decoder's
-    /// buffer** — the zero-copy hot path both the reactor and the
+    /// buffer** — the zero-copy hot path both the server and the
     /// client decode through. The returned slice is valid until the
     /// next call to [`feed`](Self::feed) or another extraction;
     /// decode it to an owned message within that window. `Ok(None)`

@@ -1,308 +1,269 @@
-//! Per-connection read/write state machines.
+//! One connection's response queue and its writer thread.
 //!
-//! Each accepted socket gets one [`Connection`]: a non-blocking read
-//! side feeding the frame decoder, an ordered queue of response
-//! *slots*, and a non-blocking write side. Responses must leave in
-//! request order, but an ingest that hit service backpressure cannot
-//! be answered yet — so its slot *parks* (the connection's retry ring)
-//! while later requests are still processed, and the write side simply
-//! stops at the first unfinished slot. The ring is bounded: once
-//! `max_pending` ingests are parked, further backpressured ingests are
-//! answered `Busy` immediately, which is what keeps server memory
-//! bounded under a producer that outruns the shard workers.
+//! Responses must leave in request order, but some cannot be encoded
+//! when their request is read: a durable-ack ingest waits for the
+//! shard workers' fsync watermark, a drain for its cut. The reader
+//! therefore queues one [`Entry`] per response — an encoded frame, or
+//! the cut still to wait for — on the connection's [`Outbox`], and the
+//! writer takes them in order: every ready frame at the front leaves
+//! in one `write_vectored`, and a cut at the front is waited for in
+//! the service's condvar wait, which the shard worker that reaches the
+//! cut wakes. Later responses queue up behind it meanwhile.
 //!
-//! The write side is a queue of encoded frames flushed with
-//! `write_vectored`, so every ready response a tick produced leaves in
-//! one batched syscall instead of one `write` per frame — and drained
-//! frame buffers return to the reactor's [`FramePool`], so
-//! steady-state response framing does zero heap allocations (the PR-3
-//! scratch idiom applied to the wire).
+//! The outbox holds at most `max_inflight_per_conn` entries. A reader
+//! that finds it full blocks until the writer takes one, so a peer
+//! that stops reading its responses (or waits on slow fsyncs) stops
+//! having its requests read: memory stays bounded per connection and
+//! the backpressure reaches the peer as TCP flow control.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::net::TcpStream;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-use ams_service::{DrainCut, DurableCut, IngestTag};
-use ams_stream::OpBlock;
-use ams_telemetry::TraceCtx;
+use ams_service::{AmsService, DrainCut, DurableCut};
+use ams_telemetry::{TraceCtx, TraceStage};
 
-use crate::codec::FrameDecoder;
+use crate::codec::{ErrorCode, Response};
+use crate::reactor::{encoded, NetInstruments, Tracing};
 
-/// Per-tick cap on bytes read from one connection; together with the
-/// reactor's decoder-backlog gate this bounds the decoder buffer at
-/// roughly one maximum frame plus one burst.
-const READ_BURST: usize = 256 * 1024;
+/// Most frames handed to one `write_vectored` call: a full default
+/// window of ingest acks.
+const WRITE_VEC: usize = 64;
 
-/// Most frames handed to one `write_vectored` call. 16 covers a whole
-/// burst of ingest acks; anything beyond simply waits for the next
-/// loop iteration of the same pump call.
-const WRITE_VEC: usize = 16;
-
-/// Most spare frame buffers a pool retains; beyond this, returned
-/// buffers are simply dropped so an ack burst cannot pin memory
-/// forever.
-const POOL_CAP: usize = 64;
-
-/// A reactor-owned free list of encoded-frame buffers. Responses are
-/// encoded into a pooled buffer ([`take`](Self::take)), queued on the
-/// connection, and returned ([`put`](Self::put)) once flushed — after
-/// warm-up the response path recycles capacity instead of allocating.
-#[derive(Debug, Default)]
-pub(crate) struct FramePool {
-    free: Vec<Vec<u8>>,
-}
-
-impl FramePool {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cleared buffer, reusing a recycled one when available.
-    pub(crate) fn take(&mut self) -> Vec<u8> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns a drained buffer to the pool (dropped when full).
-    pub(crate) fn put(&mut self, buf: Vec<u8>) {
-        if self.free.len() < POOL_CAP {
-            self.free.push(buf);
-        }
-    }
-}
-
-/// One in-order response slot.
+/// One queued response, in request order.
 #[derive(Debug)]
-pub(crate) enum Slot {
-    /// The response frame is encoded and ready to flush.
+pub(crate) enum Entry {
+    /// The response frame is encoded and ready to send.
     Ready(Vec<u8>),
-    /// An ingest parked on the retry ring: the service said
-    /// `WouldBlock`, the reactor re-tries it every tick.
-    PendingIngest {
-        /// Attribute the block targets.
-        attribute: String,
-        /// The parked block; each attempt moves it into the service,
-        /// which hands it back on refusal (no cloning).
-        block: OpBlock,
-        /// The peer asked for an ack only after the block is durable;
-        /// once the retry lands, the slot parks again as
-        /// [`Slot::PendingDurable`] instead of answering immediately.
-        durable: bool,
-        /// The submission's idempotency tag, carried through retries.
-        tag: Option<IngestTag>,
-        /// The request's trace context, carried through retries so the
-        /// eventual acceptance and ack still stamp their spans.
-        trace: TraceCtx,
-    },
-    /// An accepted durable-ack ingest waiting for its effects to reach
-    /// stable storage; polled every tick against the service's durable
-    /// watermarks and answered `Ingested` once the cut is covered.
-    PendingDurable {
+    /// A response that waits for the service first.
+    Wait(Wait),
+}
+
+/// A response the writer can encode only once a cut is reached.
+#[derive(Debug)]
+pub(crate) enum Wait {
+    /// An accepted durable-ack ingest, answered `Ingested` once the
+    /// shard workers' durable watermarks cover `cut`.
+    Durable {
         /// The durability target recorded right after acceptance.
         cut: DurableCut,
-        /// The request's trace context (for the ack span and the tail
-        /// sampler's end-to-end offer).
+        /// The request's trace context (for the `durable_wait` and
+        /// `ack` spans and the tail sampler's end-to-end offer).
         trace: TraceCtx,
-        /// Trace-clock start of the `durable_wait` span, re-anchored on
-        /// every unsuccessful poll so the recorded span measures the
-        /// reactor's *detection* latency and never double-counts the
-        /// shard-side wal/fsync spans it would otherwise overlap. Zero
-        /// when untraced.
-        wait_from: u64,
+        /// Trace-clock instant the block was handed to the service (0
+        /// when untraced): the earliest a `durable_wait` span may
+        /// start.
+        accepted_ns: u64,
     },
-    /// A drain waiting for its cut; polled every tick. The cut is
-    /// `None` while parked ingests precede it (they are not in the
-    /// service yet, so recording the cut now would under-cover).
-    PendingDrain {
-        /// The recorded drain target, once every earlier parked ingest
-        /// has landed.
-        cut: Option<DrainCut>,
-    },
+    /// A drain, answered `Drained` once the cut is processed.
+    Drain(DrainCut),
 }
 
-impl Slot {
-    fn is_pending(&self) -> bool {
-        !matches!(self, Slot::Ready(_))
-    }
+#[derive(Debug, Default)]
+struct State {
+    entries: VecDeque<Entry>,
+    /// The reader is done: once `entries` empties the writer exits.
+    closed: bool,
+    /// A socket write failed: nothing more can be delivered, so the
+    /// reader stops too.
+    failed: bool,
+    /// Someone owns the head of the response stream: the writer, from
+    /// taking entries until it has written them (a wait included), or
+    /// the reader sending a frame inline.
+    busy: bool,
 }
 
-/// One client connection's full state.
+/// The bounded in-order response queue between a connection's reader
+/// and writer.
 #[derive(Debug)]
-pub(crate) struct Connection {
-    stream: TcpStream,
-    /// Incremental frame extraction over whatever bytes have arrived.
-    pub(crate) decoder: FrameDecoder,
-    /// In-order response slots (front = oldest request).
-    pub(crate) slots: VecDeque<Slot>,
-    /// Encoded frames staged for the socket (front = oldest), flushed
-    /// with vectored writes; drained buffers go back to the pool.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out.front()` already written.
-    front_pos: usize,
-    /// Unflushed bytes across `out` (maintained incrementally).
-    queued_bytes: usize,
-    /// Reading has stopped for good (protocol error or shutdown); the
-    /// connection dies once the write buffer flushes.
-    pub(crate) closing: bool,
-    /// The peer closed its write side (EOF on read); responses may
-    /// still be deliverable on the half-open socket.
-    peer_gone: bool,
-    /// The socket failed hard (read or write error); nothing more can
-    /// move in either direction.
-    io_failed: bool,
-    /// This connection asked for server shutdown and is owed the final
-    /// `Goodbye`.
-    pub(crate) wants_goodbye: bool,
+pub(crate) struct Outbox {
+    state: Mutex<State>,
+    /// Signalled on every push, take, close and failure; the reader
+    /// and the writer wait on it for opposite conditions.
+    changed: Condvar,
+    capacity: usize,
 }
 
-impl Connection {
-    /// Adopts an accepted socket, switching it to non-blocking mode.
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        // Purely an ack-latency optimization; not load-bearing.
-        let _ = stream.set_nodelay(true);
-        Ok(Self {
-            stream,
-            decoder: FrameDecoder::new(),
-            slots: VecDeque::new(),
-            out: VecDeque::new(),
-            front_pos: 0,
-            queued_bytes: 0,
-            closing: false,
-            peer_gone: false,
-            io_failed: false,
-            wants_goodbye: false,
-        })
+impl Outbox {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            state: Mutex::new(State::default()),
+            changed: Condvar::new(),
+            capacity: capacity.max(1),
+        }
     }
 
-    /// Number of parked (non-ready) slots.
-    pub(crate) fn pending(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_pending()).count()
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Number of parked ingests specifically (the retry-ring occupancy
-    /// the `max_pending` bound applies to).
-    pub(crate) fn pending_ingests(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::PendingIngest { .. }))
-            .count()
-    }
-
-    /// Unflushed response bytes.
-    pub(crate) fn write_backlog(&self) -> usize {
-        self.queued_bytes
-    }
-
-    /// Pulls bytes from the socket into the decoder — at most
-    /// [`READ_BURST`] per call, so one firehosing peer cannot grow the
-    /// decoder buffer faster than the dispatch loop drains it (the
-    /// reactor additionally stops calling this while the decoder
-    /// backlog exceeds a frame). Returns the number of bytes fed (0
-    /// means no progress), so the caller can both detect progress and
-    /// account `net_bytes_in`.
-    pub(crate) fn fill_read(&mut self, scratch: &mut [u8]) -> usize {
-        let mut fed = 0usize;
-        let mut budget = READ_BURST;
-        loop {
-            if budget == 0 {
-                break;
-            }
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.peer_gone = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.decoder.feed(&scratch[..n]);
-                    budget = budget.saturating_sub(n);
-                    fed += n;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.io_failed = true;
-                    break;
-                }
+    /// Queues a response, blocking while the outbox is full (calling
+    /// `on_full` once if it has to). A ready frame that would be next
+    /// in line while the writer is idle is written right here instead,
+    /// saving the writer's wake-up. Returns `false` when a write
+    /// failed: the connection is dead and the reader should stop.
+    pub(crate) fn push(
+        &self,
+        entry: Entry,
+        stream: &TcpStream,
+        net: &NetInstruments,
+        on_full: impl FnOnce(),
+    ) -> bool {
+        let mut state = self.lock();
+        if let Entry::Ready(frame) = &entry {
+            if state.entries.is_empty() && !state.busy && !state.failed {
+                state.busy = true;
+                drop(state);
+                let written = write_frames(&mut &*stream, std::slice::from_ref(frame), net);
+                // Only this reader queues entries, so none arrived
+                // meanwhile and the writer has nothing to be woken for.
+                let mut state = self.lock();
+                state.busy = false;
+                state.failed |= written.is_err();
+                return !state.failed;
             }
         }
-        fed
+        if state.entries.len() >= self.capacity && !state.failed {
+            on_full();
+        }
+        while state.entries.len() >= self.capacity && !state.failed {
+            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        if state.failed {
+            return false;
+        }
+        state.entries.push_back(entry);
+        self.changed.notify_all();
+        true
     }
 
-    /// Moves leading ready slots onto the write queue (no copy — the
-    /// encoded frame buffer itself is queued) and flushes as much as
-    /// the socket accepts with vectored writes, so one tick's worth of
-    /// responses leaves in one syscall rather than one per frame.
-    /// Fully-flushed frame buffers return to `pool`. Returns `(frames
-    /// staged, bytes flushed)` — either nonzero means progress, and
-    /// the caller accounts them as `net_frames_encoded` /
-    /// `net_bytes_out`.
-    pub(crate) fn pump_writes(&mut self, pool: &mut FramePool) -> (usize, usize) {
-        let mut frames = 0usize;
-        let mut flushed = 0usize;
-        while let Some(Slot::Ready(_)) = self.slots.front() {
-            let Some(Slot::Ready(frame)) = self.slots.pop_front() else {
-                unreachable!("front checked above");
-            };
-            self.queued_bytes += frame.len();
-            self.out.push_back(frame);
-            frames += 1;
+    /// The reader is done; the writer delivers what is queued and
+    /// exits.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
+
+    /// The writer has written what it took; `failed` when it could
+    /// not, which stops the reader too.
+    fn written(&self, failed: bool) {
+        let mut state = self.lock();
+        state.busy = false;
+        if failed {
+            state.failed = true;
+            self.changed.notify_all();
         }
-        while !self.out.is_empty() {
-            let mut slices = [IoSlice::new(&[]); WRITE_VEC];
-            let mut count = 0;
-            for (i, frame) in self.out.iter().enumerate().take(WRITE_VEC) {
-                let bytes = if i == 0 {
-                    &frame[self.front_pos..]
-                } else {
-                    &frame[..]
-                };
-                slices[count] = IoSlice::new(bytes);
-                count += 1;
-            }
-            match self.stream.write_vectored(&slices[..count]) {
-                Ok(0) => {
-                    self.io_failed = true;
+    }
+
+    /// Blocks until there is something to deliver, then moves the
+    /// ready frames at the front into `frames` — or, when the front is
+    /// a wait, pops and returns it with `frames` left empty. Returns
+    /// `None` with `frames` empty once the outbox is closed and
+    /// drained.
+    fn take(&self, frames: &mut Vec<Vec<u8>>) -> Option<Wait> {
+        let mut state = self.lock();
+        while state.busy || (state.entries.is_empty() && !state.closed) {
+            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        state.busy = !state.entries.is_empty();
+        while frames.len() < WRITE_VEC {
+            match state.entries.pop_front() {
+                Some(Entry::Ready(frame)) => frames.push(frame),
+                Some(Entry::Wait(wait)) if frames.is_empty() => {
+                    self.changed.notify_all();
+                    return Some(wait);
+                }
+                Some(wait) => {
+                    state.entries.push_front(wait);
                     break;
                 }
-                Ok(n) => {
-                    flushed += n;
-                    self.queued_bytes -= n;
-                    let mut advanced = n;
-                    while advanced > 0 {
-                        let front_left = self.out[0].len() - self.front_pos;
-                        if advanced >= front_left {
-                            advanced -= front_left;
-                            self.front_pos = 0;
-                            let drained = self.out.pop_front().expect("front exists");
-                            pool.put(drained);
-                        } else {
-                            self.front_pos += advanced;
-                            advanced = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.io_failed = true;
-                    break;
-                }
+                None => break,
             }
         }
-        (frames, flushed)
+        self.changed.notify_all();
+        None
     }
+}
 
-    /// Whether everything owed to the peer has left the process.
-    pub(crate) fn flushed(&self) -> bool {
-        self.slots.is_empty() && self.out.is_empty()
+/// The writer thread: delivers `outbox` to the peer in order until the
+/// reader closes it, or until a write fails (which fails the outbox so
+/// the reader stops as well).
+pub(crate) fn write_loop(
+    mut stream: &TcpStream,
+    outbox: &Outbox,
+    service: &AmsService,
+    net: &NetInstruments,
+    tracing: &Tracing,
+) {
+    let mut frames: Vec<Vec<u8>> = Vec::with_capacity(WRITE_VEC);
+    loop {
+        if let Some(wait) = outbox.take(&mut frames) {
+            frames.push(resolve(wait, service, tracing));
+        }
+        if frames.is_empty() {
+            return;
+        }
+        let failed = write_frames(&mut stream, &frames, net).is_err();
+        outbox.written(failed);
+        if failed {
+            return;
+        }
+        frames.clear();
     }
+}
 
-    /// Whether the connection can be dropped: the socket failed hard,
-    /// or everything owed has been delivered to a peer we will not
-    /// read from again (server-side close or client EOF).
-    pub(crate) fn dead(&self) -> bool {
-        self.io_failed || ((self.closing || self.peer_gone) && self.flushed())
+/// Waits for a queued cut and encodes its answer.
+fn resolve(wait: Wait, service: &AmsService, tracing: &Tracing) -> Vec<u8> {
+    match wait {
+        Wait::Durable {
+            cut,
+            trace,
+            accepted_ns,
+        } => match service.wait_durable(&cut) {
+            Some(reached_ns) => {
+                // The span starts where the worker's watermark advance
+                // completed the cut, so it measures only the wake-up
+                // and never overlaps the shard's wal_append/fsync.
+                if accepted_ns != 0 {
+                    tracing.span_since(
+                        trace.id,
+                        TraceStage::DurableWait,
+                        reached_ns.max(accepted_ns),
+                    );
+                }
+                tracing.finish(trace, &Response::Ingested)
+            }
+            None => encoded(&Response::Error {
+                code: ErrorCode::Closed,
+                message: "service stopped before the block was durable".into(),
+            }),
+        },
+        Wait::Drain(cut) => encoded(&Response::Drained {
+            epoch: service.wait_drained(&cut),
+        }),
     }
+}
+
+/// Writes every frame, batched into vectored writes.
+fn write_frames(
+    stream: &mut &TcpStream,
+    frames: &[Vec<u8>],
+    net: &NetInstruments,
+) -> std::io::Result<()> {
+    net.frames_encoded.add(frames.len() as u64);
+    let mut slices: Vec<IoSlice<'_>> = frames.iter().map(|f| IoSlice::new(f)).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                net.bytes_out.add(n as u64);
+                IoSlice::advance_slices(&mut rest, n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }

@@ -3,42 +3,42 @@
 //! The sketches exist to track join sizes *online*, over update streams
 //! arriving from outside the process; this crate is the layer that lets
 //! them: a length-prefixed, checksummed binary protocol ([`codec`],
-//! with a slice-by-8 CRC-32 kernel in [`crc`]), a **multi-reactor**
-//! non-blocking front-end ([`server`]) — one acceptor handing sockets
-//! to N reactor threads, each owning a disjoint slice of the
-//! connections over std non-blocking sockets — and a blocking client
-//! library ([`client`]) with automatic retry on backpressure and
+//! with a slice-by-8 CRC-32 kernel in [`crc`]), an event-driven
+//! blocking front-end ([`server`]) — an acceptor, and one reader and
+//! one writer thread per connection over std sockets — and a blocking
+//! client library ([`client`]) with automatic retry on `Busy` and
 //! batch-coalesced zero-alloc pipelining.
 //!
 //! ```text
-//!              ┌─ reactor 0 (tick loop, non-blocking I/O) ─┐
-//!  clients ──▶ acceptor ──least-connections──▶ reactor i ──┤ try_ingest_block ──▶ AmsService
-//!     ▲        (listener)  handoff             ...         │   ├─ Ok        → Ingested
-//!     │        ┌─ reactor N-1 ─────────────────────────────┘   ├─ WouldBlock→ park on the
-//!     │        │  per-reactor `net_*{reactor="i"}` series      │   per-connection retry
-//!     │        │  pooled response frames, vectored writes      │   ring, serviced each tick
-//!     └──framed responses──────────────────────────────────────┴─ ring full → Busy{retry_hint}
+//!                        ┌─ reader: decode → blocking submit ──▶ AmsService
+//!  clients ──▶ acceptor ─┤     (in request order)               (sharded queues)
+//!     ▲        (accept)  │        │ bounded outbox                   │ publish /
+//!     │                  │        ▼ (Mutex<VecDeque> + Condvar)      │ fsync watermark
+//!     └── framed responses ◀── writer: in order, vectored writes ◀───┘ (condvar wake)
 //! ```
 //!
-//! The key property is that **service backpressure never parks the
-//! network thread**: a full shard queue turns into either a parked
-//! entry on that connection's bounded retry ring (retried every reactor
-//! tick, acknowledged once it lands) or an explicit
-//! [`Response::Busy`](codec::Response::Busy) answer carrying a retry
-//! hint — so a fast producer sees load-shedding, memory stays bounded
-//! by `queue capacity + ring capacity`, and every other connection
-//! keeps making progress. Queries (self-join, two-way join, full
-//! snapshot, stats) answer from the service's merge-on-query snapshot
-//! register; `Drain` uses the service's non-blocking drain cut and is
-//! polled to completion by the reactor, and `Shutdown` gracefully
-//! lands parked ingests, stops the service, and ships the final
-//! snapshot and lifetime stats back over the wire.
+//! Every thread waits on an event — `accept`, `read`, or a condvar —
+//! never on a timer, so an answer costs its work plus a wake-up, and
+//! an idle server burns no CPU. The backpressure contract is **flow
+//! control**: the reader submits through the service's blocking path,
+//! so a full shard queue parks that connection's reader, which stops
+//! reading, and the peer's sends stall in TCP; a reader whose outbox
+//! (bounded by `max_inflight_per_conn`) is full stops reading too.
+//! Server memory stays bounded by the shard queues plus one outbox per
+//! connection, other connections keep their own pace, and the server
+//! never answers [`Response::Busy`](codec::Response::Busy) (the
+//! variant stays in the protocol for clients of servers that shed).
+//! Because one reader submits each connection's blocks in order, every
+//! `(producer, shard)` sequence reaches its shard worker in increasing
+//! order — what the workers' high-water-mark dedup relies on.
 //!
-//! No async executor is involved (the workspace vendors no runtime):
-//! each reactor is a readiness loop over `std::net` non-blocking
-//! sockets, which is exactly enough for a protocol whose hot path is
-//! CPU-bound sketch ingestion — parallelism comes from accept
-//! sharding, not from an executor.
+//! Queries (self-join, two-way join, full snapshot, stats) answer from
+//! the service's merge-on-query snapshot register. A durable-ack
+//! ingest and a `Drain` queue their cut; the writer waits for it in
+//! the service's condvar wait, which the shard worker that reaches the
+//! cut wakes. `Shutdown` stops reading everywhere, stops the service
+//! (ending every such wait), lets the writers deliver, and ships the
+//! final snapshot and lifetime stats back over the wire.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,131 +1,112 @@
-//! The multi-reactor readiness front-end.
+//! The connection front-end: one acceptor, and a reader and a writer
+//! thread per connection, each blocked on an event — `accept`, `read`,
+//! or a condvar wait — and never on a timer.
 //!
-//! One **acceptor** (the thread that called [`run`]) owns the
-//! listener and hands each accepted socket to one of N **reactor**
-//! threads — round-robin, with least-connections as the tiebreaker —
-//! so frame decode + dispatch scales with cores instead of
-//! serializing on one loop. Each reactor owns a disjoint slice of the
-//! connections and runs the same tick the PR-5 single reactor did:
-//! (1) adopt handed-off sockets, (2) service each connection's parked
-//! retry ring, (3) read + dispatch new frames, (4) flush writes
-//! (vectored, one syscall per connection per tick), and sleep briefly
-//! only when an entire tick made no progress. The crucial invariant
-//! is that **nothing in the tick blocks**: service submission uses
-//! `try_ingest_block`, drains use the recorded-cut + poll pair, and
-//! socket I/O is non-blocking throughout, so one slow or saturated
-//! shard (or one stalled client) never parks a network thread.
+//! The **acceptor** (the thread that called [`run`]) blocks in
+//! `accept` and spawns one thread per peer. That thread is the
+//! connection's **reader**: it decodes frames and submits ingests
+//! through the service's blocking path
+//! ([`AmsService::ingest_block_traced`]), one request after another.
+//! Every `(producer, shard)` sequence therefore reaches its shard
+//! worker in increasing order — the precondition of the workers'
+//! high-water-mark dedup — and a full shard queue simply parks the
+//! reader, so backpressure reaches the peer as TCP flow control rather
+//! than as `Busy` answers. Each answer goes onto the connection's
+//! bounded [`Outbox`]; a scoped **writer** thread delivers them in
+//! request order, waiting for durable and drain cuts in the service's
+//! condvar waits (see [`crate::conn`]).
 //!
-//! Shutdown is a two-phase rendezvous. Any reactor that sees a wire
-//! `Shutdown` (or the acceptor, on the stop flag) raises the shared
-//! `shutting_down` flag; every reactor then lands its parked work,
-//! drops its service handle, and checks in at the quiesce barrier.
-//! Once all N have checked in, the acceptor — the only remaining
-//! holder — unwraps the service `Arc`, stops the service (closing
-//! queues, joining workers), publishes the final snapshot + stats back
-//! through the barrier, and the reactor that owes its peer a `Goodbye`
-//! ships it during the farewell flush.
+//! Shutdown (a wire `Shutdown`, or the stop handle) raises the stop
+//! flag and wakes the acceptor with a connection to its own address.
+//! The acceptor then
+//! 1. shuts the read half of every connection, so each reader finishes
+//!    the frame in hand and stops;
+//! 2. closes the service, so every shard worker drains, syncs,
+//!    publishes and exits — which also ends every durable or drain
+//!    wait, even on a wedged shard;
+//! 3. waits for the writers to deliver what is queued (a peer that
+//!    stopped reading gets its socket shut down after a grace period);
+//! 4. stops the service for its final snapshot and statistics, and
+//!    hands them to the connection that asked for shutdown, which sends
+//!    its `Goodbye` last.
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats};
+use ams_stream::OpBlock;
 use ams_telemetry::{
-    trace_clock_ns, Counter, EventCode, EventRecorder, Gauge, LatencyHistogram, MetricsRegistry,
-    TraceCtx, TraceHub, TraceRecorder, TraceStage,
+    trace_clock_ns, Counter, EventCode, MetricsRegistry, TraceCtx, TraceHub, TraceRecorder,
+    TraceStage,
 };
 
-use crate::codec::{ErrorCode, IngestOpts, Request, Response, MAX_FRAME_PAYLOAD};
-use crate::conn::{Connection, FramePool, Slot};
+use crate::codec::{ErrorCode, FrameDecoder, IngestOpts, Request, Response};
+use crate::conn::{write_loop, Entry, Outbox, Wait};
 use crate::server::NetServerConfig;
 
-/// Longest the finalizer keeps flushing farewell frames after the
-/// service stopped.
-const SHUTDOWN_FLUSH_DEADLINE: std::time::Duration = std::time::Duration::from_secs(2);
+/// How long shutdown waits for readers to finish their frame, and
+/// again for writers to deliver, before it shuts down the sockets of
+/// peers that stopped reading. Also bounds the `Goodbye` write.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
-/// Sleep between ticks while the reactor is *warm*: a tick made
-/// progress within the last [`HOT_TICKS`] ticks, so this is an active
-/// exchange and the peer's next burst (or the service's next parked-
-/// work resolution) is probably imminent. Far finer than `idle_sleep`,
-/// so mid-exchange wake latency is microseconds, while a reactor that
-/// stays progress-free backs off to the cheap long sleep.
-const WARM_POLL_SLEEP: std::time::Duration = std::time::Duration::from_micros(25);
+/// How long the acceptor waits for a connection to close (and free a
+/// file descriptor) after `accept` fails, before trying again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// How many progress-free ticks stay on [`WARM_POLL_SLEEP`] after the
-/// last productive one before the loop falls back to `idle_sleep`.
-const HOT_TICKS: u32 = 8;
+/// Bytes one `read` may pull off a socket.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// One reactor's instrument handles, registered into the *service's*
-/// registry with a `reactor="i"` label so one `Request::Metrics`
-/// scrape (or one [`AmsService::metrics_snapshot`] call) covers both
-/// layers, per reactor.
+/// The front-end's instrument handles, registered into the *service's*
+/// registry so one `Request::Metrics` scrape (or one
+/// [`AmsService::metrics_snapshot`] call) covers both layers.
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
-/// | `net_tick_ns` | histogram | duration of each tick that made progress |
 /// | `net_frames_decoded` | counter | request frames decoded |
-/// | `net_frames_encoded` | counter | response frames staged for write |
+/// | `net_frames_encoded` | counter | response frames staged for writing |
 /// | `net_bytes_in` | counter | bytes read off sockets |
-/// | `net_bytes_out` | counter | bytes flushed to sockets |
-/// | `net_busy_responses` | counter | `Busy` load-shed answers sent |
-/// | `net_read_gated` | counter | connection-ticks reads were paused by admission bounds |
-/// | `net_retry_ring_occupancy` | gauge | parked ingests across this reactor's connections |
-struct NetInstruments {
-    /// This reactor's index, the `key` of its structured events.
-    reactor: u64,
-    tick_ns: Arc<LatencyHistogram>,
+/// | `net_bytes_out` | counter | bytes written to sockets |
+/// | `net_busy_responses` | counter | `Busy` answers sent (0: backpressure is flow control) |
+/// | `net_read_gated` | counter | times a reader paused because its connection's outbox was full |
+pub(crate) struct NetInstruments {
     frames_decoded: Arc<Counter>,
-    frames_encoded: Arc<Counter>,
+    pub(crate) frames_encoded: Arc<Counter>,
     bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
-    busy_responses: Arc<Counter>,
+    pub(crate) bytes_out: Arc<Counter>,
     read_gated: Arc<Counter>,
-    retry_ring: Arc<Gauge>,
-    /// This thread's structured-event recorder on the service's event
-    /// hub: sheds and read gates land next to the shard lifecycle
-    /// events in one `Request::Events` scrape. Per-thread rings mean a
-    /// shedding storm here can never evict a shard worker's events.
-    events: EventRecorder,
 }
 
 impl NetInstruments {
-    fn new(registry: &MetricsRegistry, reactor: usize, events: EventRecorder) -> Self {
-        let index = reactor.to_string();
-        let labels: [(&str, &str); 1] = [("reactor", index.as_str())];
+    fn new(registry: &MetricsRegistry) -> Self {
+        // Registered so the health engine's shed rate and scrapers that
+        // count Busy answers keep a series to read; nothing sheds.
+        registry.counter("net_busy_responses", &[]);
         Self {
-            reactor: reactor as u64,
-            tick_ns: registry.histogram("net_tick_ns", &labels),
-            frames_decoded: registry.counter("net_frames_decoded", &labels),
-            frames_encoded: registry.counter("net_frames_encoded", &labels),
-            bytes_in: registry.counter("net_bytes_in", &labels),
-            bytes_out: registry.counter("net_bytes_out", &labels),
-            busy_responses: registry.counter("net_busy_responses", &labels),
-            read_gated: registry.counter("net_read_gated", &labels),
-            retry_ring: registry.gauge("net_retry_ring_occupancy", &labels),
-            events,
+            frames_decoded: registry.counter("net_frames_decoded", &[]),
+            frames_encoded: registry.counter("net_frames_encoded", &[]),
+            bytes_in: registry.counter("net_bytes_in", &[]),
+            bytes_out: registry.counter("net_bytes_out", &[]),
+            read_gated: registry.counter("net_read_gated", &[]),
         }
-    }
-
-    /// Accounts one `pump_writes` outcome and returns whether it moved
-    /// anything.
-    fn note_pump(&self, (frames, bytes): (usize, usize)) -> bool {
-        self.frames_encoded.add(frames as u64);
-        self.bytes_out.add(bytes as u64);
-        frames > 0 || bytes > 0
     }
 }
 
-/// One reactor's tracing handles: the service's [`TraceHub`] (shared
-/// tail sampler + enable flag) and this thread's own span recorder.
-/// Every helper is guarded so untraced requests — and every request
-/// while the hub is disabled — never read the trace clock.
-struct ReactorTracing {
+/// One thread's tracing handles: the service's [`TraceHub`] (shared
+/// tail sampler + enable flag) and a span recorder leased to this
+/// thread alone. Every helper is guarded so untraced requests — and
+/// every request while the hub is disabled — never read the trace
+/// clock.
+pub(crate) struct Tracing {
     hub: Arc<TraceHub>,
     recorder: TraceRecorder,
 }
 
-impl ReactorTracing {
+impl Tracing {
     /// A span-start timestamp for trace `id`, or 0 when the span
     /// should not be recorded (untraced, or hub disabled).
     fn start(&self, id: u64) -> u64 {
@@ -136,18 +117,18 @@ impl ReactorTracing {
         }
     }
 
-    /// Records `stage` from a [`Self::start`] timestamp (0 = skip).
-    fn span_since(&self, id: u64, stage: TraceStage, t0: u64) {
+    /// Records `stage` from a start timestamp (0 = skip).
+    pub(crate) fn span_since(&self, id: u64, stage: TraceStage, t0: u64) {
         if t0 != 0 {
             self.recorder.record_since(id, stage, t0);
         }
     }
 
     /// Records the `route` span as ending at the service's handoff
-    /// instant (queue entry of the traced placement) rather than at
-    /// call return: the shard worker may have dequeued — and preempted
-    /// this thread — before the submit call came back, and that time
-    /// belongs to the shard-side spans, not to routing.
+    /// instant (where the traced task's `queue` span starts) rather
+    /// than at call return: the shard worker may have dequeued — and
+    /// preempted this thread — before the submit call came back, and
+    /// that time belongs to the shard-side spans, not to routing.
     fn route_span(&self, id: u64, t0: u64, handoff: u64) {
         if t0 != 0 {
             self.recorder
@@ -158,9 +139,9 @@ impl ReactorTracing {
     /// Encodes the final response of a traced request: stamps the
     /// `ack` span around the encode and offers the request's
     /// end-to-end server latency to the tail sampler.
-    fn finish(&self, ctx: TraceCtx, pool: &mut FramePool, response: &Response) -> Vec<u8> {
+    pub(crate) fn finish(&self, ctx: TraceCtx, response: &Response) -> Vec<u8> {
         let t0 = self.start(ctx.id);
-        let frame = encoded(pool, response);
+        let frame = encoded(response);
         if t0 != 0 {
             self.recorder.record_since(ctx.id, TraceStage::Ack, t0);
             self.hub
@@ -171,11 +152,10 @@ impl ReactorTracing {
     }
 }
 
-/// Encodes a response into a pooled buffer, demoting encode failures
-/// (e.g. a snapshot too large for one frame) to a small protocol-level
-/// error frame.
-fn encoded(pool: &mut FramePool, response: &Response) -> Vec<u8> {
-    let mut frame = pool.take();
+/// Encodes a response, demoting encode failures (e.g. a snapshot too
+/// large for one frame) to a small protocol-level error frame.
+pub(crate) fn encoded(response: &Response) -> Vec<u8> {
+    let mut frame = Vec::new();
     if let Err(e) = response.encode_into(&mut frame) {
         Response::Error {
             code: ErrorCode::Internal,
@@ -187,28 +167,9 @@ fn encoded(pool: &mut FramePool, response: &Response) -> Vec<u8> {
     frame
 }
 
-/// Sizes a client's backoff after a `Busy`: deeper queues earn longer
-/// hints. Purely advisory — a client may retry sooner and simply be
-/// shed again.
-fn busy_hint_micros(service: &AmsService, shard: usize) -> u32 {
-    let depth = service.queue_depth(shard).unwrap_or(0) as u32;
-    (100 * (depth + 1)).min(10_000)
-}
-
-fn busy(service: &AmsService, shard: usize, net: &NetInstruments) -> Response {
-    net.busy_responses.inc();
-    net.events
-        .emit(EventCode::BusyShed, net.reactor, shard as u64);
-    Response::Busy {
-        shard: shard as u32,
-        retry_hint_micros: busy_hint_micros(service, shard),
-    }
-}
-
 /// Turns a service-side ingest failure into the matching wire answer.
-fn ingest_failure(service: &AmsService, error: ServiceError, net: &NetInstruments) -> Response {
+fn ingest_failure(error: ServiceError) -> Response {
     match error {
-        ServiceError::WouldBlock { shard } => busy(service, shard, net),
         ServiceError::UnknownAttribute { name } => Response::Error {
             code: ErrorCode::UnknownAttribute,
             message: format!("unknown attribute: {name}"),
@@ -224,639 +185,497 @@ fn ingest_failure(service: &AmsService, error: ServiceError, net: &NetInstrument
     }
 }
 
-/// Services one connection's parked slots: retries parked ingests in
-/// submission order (stopping the ingest sweep at the first shard that
-/// still refuses, to preserve per-connection ordering) and polls
-/// parked drains. A parked drain only records its cut once no parked
-/// ingest precedes it, so the `Drained` answer really covers every
-/// ingest acknowledged before it. Returns whether any slot resolved.
-fn service_parked(
-    conn: &mut Connection,
-    service: &AmsService,
-    net: &NetInstruments,
-    tracing: &ReactorTracing,
-    pool: &mut FramePool,
-) -> bool {
-    let mut progress = false;
-    let mut ingest_blocked = false;
-    let mut ingest_parked_before = false;
-    for slot in conn.slots.iter_mut() {
-        match slot {
-            Slot::Ready(_) => {}
-            Slot::PendingIngest {
-                attribute,
-                block,
-                durable,
-                tag,
-                trace,
-            } => {
-                if ingest_blocked {
-                    ingest_parked_before = true;
-                    continue;
-                }
-                // The service hands the block back on refusal, so a
-                // parked entry is submitted without cloning.
-                let attempt = std::mem::take(block);
-                match service.try_ingest_block_traced_returning(attribute, attempt, *tag, trace.id)
-                {
-                    Ok(_) => {
-                        *slot = if *durable {
-                            // Accepted, but the peer wants the ack only
-                            // once it is on stable storage: park again
-                            // on the durability watermark.
-                            Slot::PendingDurable {
-                                cut: service.durability_cut(),
-                                trace: *trace,
-                                wait_from: tracing.start(trace.id),
-                            }
-                        } else {
-                            Slot::Ready(tracing.finish(*trace, pool, &Response::Ingested))
-                        };
-                        progress = true;
-                    }
-                    Err((returned, ServiceError::WouldBlock { .. })) => {
-                        *block = returned;
-                        ingest_blocked = true;
-                        ingest_parked_before = true;
-                    }
-                    Err((_, other)) => {
-                        *slot = Slot::Ready(encoded(pool, &ingest_failure(service, other, net)));
-                        progress = true;
-                    }
-                }
-            }
-            Slot::PendingDurable {
-                cut,
-                trace,
-                wait_from,
-            } => {
-                // Already accepted by the service (so it neither blocks
-                // later parked ingests nor defers drain cuts); waiting
-                // only for the shard workers' fsync watermarks.
-                if service.poll_durable(cut) {
-                    tracing.span_since(trace.id, TraceStage::DurableWait, *wait_from);
-                    *slot = Slot::Ready(tracing.finish(*trace, pool, &Response::Ingested));
-                    progress = true;
-                } else {
-                    // Re-anchor so the eventual span measures detection
-                    // latency, not the shard work it would overlap.
-                    *wait_from = tracing.start(trace.id);
-                }
-            }
-            Slot::PendingDrain { cut } => {
-                if cut.is_none() && !ingest_parked_before {
-                    *cut = Some(service.drain_cut());
-                }
-                if let Some(recorded) = cut {
-                    if let Some(epoch) = service.poll_drained(recorded) {
-                        *slot = Slot::Ready(encoded(pool, &Response::Drained { epoch }));
-                        progress = true;
-                    }
-                }
-            }
-        }
-    }
-    progress
-}
-
-/// Routes each block of an ingest request through the service,
-/// appending one slot per block, in order: `Ingested` on success, a
-/// parked retry-ring entry on `WouldBlock` with ring room, `Busy`
-/// otherwise. The batch frame amortizes header + checksum + dispatch,
-/// while Busy / retry-ring semantics stay exactly per-block. (A batch
-/// is admitted as one frame, so `max_inflight_per_conn` can be
-/// exceeded by up to one batch's worth of slots.) Block i carries the
-/// tag (producer, seq+i); a traced batch attributes the whole frame to
-/// its first block, so one trace never owns overlapping per-block
-/// spans. The attribute is only materialized (cloned) on the rare
-/// parking path.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_ingest(
-    conn: &mut Connection,
-    attribute: &str,
-    blocks: Vec<ams_stream::OpBlock>,
-    opts: IngestOpts,
-    recv_ns: u64,
-    service: &AmsService,
-    config: &NetServerConfig,
-    net: &NetInstruments,
-    tracing: &ReactorTracing,
-    pool: &mut FramePool,
-) {
-    let durable = opts.durable;
-    for (i, block) in blocks.into_iter().enumerate() {
-        let tag = opts.tag.map(|tag| IngestTag {
-            seq: tag.seq.wrapping_add(i as u64),
-            ..tag
+/// Raises the stop flag and wakes the acceptor out of `accept` by
+/// connecting to the listener (on loopback when it is bound to the
+/// unspecified address). A server that already stopped refuses the
+/// connection, which is fine.
+pub(crate) fn request_stop(flag: &AtomicBool, mut addr: SocketAddr) {
+    flag.store(true, Ordering::Release);
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
         });
-        let trace = if i == 0 {
-            TraceCtx {
-                id: opts.trace,
-                begin_ns: recv_ns,
-            }
-        } else {
-            TraceCtx::none()
-        };
-        let route_t0 = tracing.start(trace.id);
-        let submitted = service.try_ingest_block_traced_returning(attribute, block, tag, trace.id);
-        match submitted {
-            Ok(handoff) => {
-                tracing.route_span(trace.id, route_t0, handoff);
-                if durable {
-                    // The cut recorded right after acceptance covers this
-                    // submission; the slot resolves to `Ingested` once the
-                    // shard workers' durable watermarks reach it.
-                    conn.slots.push_back(Slot::PendingDurable {
-                        cut: service.durability_cut(),
-                        trace,
-                        wait_from: tracing.start(trace.id),
-                    });
-                } else {
-                    conn.slots.push_back(Slot::Ready(tracing.finish(
-                        trace,
-                        pool,
-                        &Response::Ingested,
-                    )));
-                }
-            }
-            Err((block, ServiceError::WouldBlock { shard })) => {
-                // A refused submission did spend its time routing; the
-                // retry (if parked) re-routes under its own span.
-                tracing.span_since(trace.id, TraceStage::Route, route_t0);
-                if conn.pending_ingests() < config.max_pending_per_conn {
-                    conn.slots.push_back(Slot::PendingIngest {
-                        attribute: attribute.to_owned(),
-                        block,
-                        durable,
-                        tag,
-                        trace,
-                    });
-                } else {
-                    conn.slots
-                        .push_back(Slot::Ready(encoded(pool, &busy(service, shard, net))));
-                }
-            }
-            Err((_, other)) => {
-                tracing.span_since(trace.id, TraceStage::Route, route_t0);
-                conn.slots.push_back(Slot::Ready(encoded(
-                    pool,
-                    &ingest_failure(service, other, net),
-                )));
-            }
-        }
     }
+    let _ = TcpStream::connect(addr);
 }
 
-/// Handles one decoded request, appending the resulting slot(s) to the
-/// connection. Returns `true` when the request asked for server
-/// shutdown.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    conn: &mut Connection,
-    request: Request,
-    recv_ns: u64,
-    service: &AmsService,
-    config: &NetServerConfig,
-    net: &NetInstruments,
-    tracing: &ReactorTracing,
-    pool: &mut FramePool,
-) -> bool {
-    match request {
-        Request::IngestBlocks {
-            attribute,
-            blocks,
-            opts,
-        } => dispatch_ingest(
-            conn, &attribute, blocks, opts, recv_ns, service, config, net, tracing, pool,
-        ),
-        Request::QuerySelfJoin { attribute } => {
-            // Point queries merge only the queried attribute's shard
-            // counters — not a full every-attribute snapshot.
-            let response = match service.self_join(&attribute) {
-                Ok(estimate) => Response::SelfJoin { estimate },
-                Err(e) => Response::Error {
-                    code: ErrorCode::UnknownAttribute,
-                    message: e.to_string(),
-                },
-            };
-            conn.slots.push_back(Slot::Ready(encoded(pool, &response)));
-        }
-        Request::QueryTwoWayJoin { left, right } => {
-            let response = match service.join(&left, &right) {
-                Ok(estimate) => Response::TwoWayJoin { estimate },
-                Err(e) => Response::Error {
-                    code: ErrorCode::UnknownAttribute,
-                    message: e.to_string(),
-                },
-            };
-            conn.slots.push_back(Slot::Ready(encoded(pool, &response)));
-        }
-        Request::Snapshot => {
-            let snapshot = service.snapshot();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Snapshot { snapshot })));
-        }
-        Request::Stats => {
-            let stats = service.stats();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Stats { stats })));
-        }
-        Request::Metrics => {
-            // One scrape covers both layers: each reactor registers its
-            // own labeled instruments into the service's registry, so
-            // the snapshot carries `service_*` and per-reactor `net_*`
-            // series alike.
-            let snapshot = service.metrics_snapshot();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Metrics { snapshot })));
-        }
-        Request::Traces => {
-            // Scrape-time assembly: group the span rings by trace id
-            // for the tail-sampled (slowest) requests of the window.
-            let traces = service.traces();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Traces { traces })));
-        }
-        Request::Events => {
-            // Scrape-time merge of every thread's event ring (shard
-            // workers and reactors alike), oldest first.
-            let events = service.events();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Events { events })));
-        }
-        Request::Health => {
-            // The full scrape: windowed signals, per-attribute
-            // accuracy, folded verdict — and the mirrored gauges land
-            // in the registry as a side effect, so a Metrics scrape
-            // right after sees the same numbers.
-            let health = service.health();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Health { health })));
-        }
-        Request::Drain => {
-            // The cut must cover every ingest this connection was (or
-            // will be) acknowledged for before the Drained answer —
-            // including ones still parked on the retry ring, which the
-            // service hasn't accepted yet. With parked ingests ahead,
-            // defer recording the cut until they land (`service_parked`
-            // records it once nothing pending precedes the drain).
-            if conn.pending_ingests() > 0 {
-                conn.slots.push_back(Slot::PendingDrain { cut: None });
-            } else {
-                let cut = service.drain_cut();
-                // Often already satisfied (idle service): answer inline.
-                match service.poll_drained(&cut) {
-                    Some(epoch) => conn
-                        .slots
-                        .push_back(Slot::Ready(encoded(pool, &Response::Drained { epoch }))),
-                    None => conn.slots.push_back(Slot::PendingDrain { cut: Some(cut) }),
-                }
-            }
-        }
-        Request::Shutdown => {
-            conn.wants_goodbye = true;
-            return true;
-        }
-    }
-    false
+/// One live connection, as the acceptor sees it: registered at accept
+/// and forgotten once the connection has released its service handle.
+struct Conn {
+    /// A handle on the socket, for shutting it down from the acceptor.
+    socket: TcpStream,
+    /// The reader may still submit work.
+    reading: bool,
 }
 
-/// One reactor's accept-handoff inbox plus its load, read by the
-/// acceptor for least-connections placement. `load` counts live
-/// connections *and* not-yet-adopted handoffs (incremented by the
-/// acceptor at handoff, decremented by the reactor when a connection
-/// dies), so a burst of accepts spreads correctly even before any
-/// reactor tick runs.
-#[derive(Debug, Default)]
-struct Mailbox {
-    sockets: Mutex<Vec<TcpStream>>,
-    load: AtomicUsize,
-}
-
-/// Shared shutdown state: the flag every loop polls, and the quiesce
-/// barrier the final snapshot travels back through.
-struct Coordinator {
-    shutting_down: AtomicBool,
-    state: Mutex<CoordState>,
-    cv: Condvar,
-}
-
-struct CoordState {
-    /// Reactors that have landed all parked work and dropped their
-    /// service handle.
-    quiesced: usize,
-    /// The stopped service's final snapshot + stats, published by the
-    /// acceptor once every reactor quiesced.
+#[derive(Default)]
+struct Registry {
+    conns: HashMap<u64, Conn>,
+    /// The stopped service's final snapshot + stats, published once
+    /// every connection released the service.
     final_state: Option<Arc<(ServiceSnapshot, ServiceStats)>>,
 }
 
-/// One reactor thread: adopts handed-off sockets, runs the tick loop
-/// until shutdown, then checks in at the quiesce barrier and flushes
-/// farewells (including the `Goodbye` if one of its peers asked for
-/// shutdown).
-fn reactor_loop(
-    index: usize,
-    mailbox: Arc<Mailbox>,
-    service: Arc<AmsService>,
-    coord: Arc<Coordinator>,
+/// State shared by the acceptor and every connection thread.
+struct Server {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
     config: NetServerConfig,
-) {
-    let net = NetInstruments::new(&service.registry(), index, service.event_hub().recorder());
-    let tracing = ReactorTracing {
-        hub: service.trace_hub(),
-        recorder: service.trace_hub().recorder(),
-    };
-    net.events.emit(EventCode::ReactorStart, net.reactor, 0);
-    let mut conns: Vec<Connection> = Vec::new();
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut pool = FramePool::new();
-    let mut hot = 0u32;
-    loop {
-        let tick_start = Instant::now();
-        let mut progress = false;
-        let mut shutting_down = coord.shutting_down.load(Ordering::Acquire);
-        // 1. Adopt whatever the acceptor handed off (unless closing up).
-        if !shutting_down {
-            let handed = {
-                let mut inbox = mailbox.sockets.lock().expect("acceptor never panics");
-                if inbox.is_empty() {
-                    Vec::new()
-                } else {
-                    std::mem::take(&mut *inbox)
-                }
-            };
-            for stream in handed {
-                match Connection::new(stream) {
-                    Ok(conn) => {
-                        conns.push(conn);
-                        progress = true;
-                    }
-                    // The socket died before adoption: release its
-                    // load share.
-                    Err(_) => {
-                        mailbox.load.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
+    net: NetInstruments,
+    trace_hub: Arc<TraceHub>,
+    /// Idle span recorders. Each connection thread leases one and
+    /// returns it at exit, so the hub's ring count follows the peak
+    /// number of threads rather than every connection ever accepted.
+    recorders: Mutex<Vec<TraceRecorder>>,
+    registry: Mutex<Registry>,
+    /// Signalled whenever a connection changes state or the final
+    /// state is published.
+    changed: Condvar,
+}
+
+impl Server {
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lease_tracing(&self) -> Tracing {
+        let recorder = self
+            .recorders
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop()
+            .unwrap_or_else(|| self.trace_hub.recorder());
+        Tracing {
+            hub: Arc::clone(&self.trace_hub),
+            recorder,
+        }
+    }
+
+    fn return_tracing(&self, tracing: Tracing) {
+        self.recorders
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(tracing.recorder);
+    }
+
+    /// Applies `update` to the registry and wakes every waiter.
+    fn update(&self, update: impl FnOnce(&mut Registry)) {
+        update(&mut self.lock());
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `done` holds, or `grace` elapses (`None`: no
+    /// limit). Returns whether it holds.
+    fn wait(&self, done: impl Fn(&Registry) -> bool, grace: Option<Duration>) -> bool {
+        let registry = self.lock();
+        let pending = |r: &mut Registry| !done(r);
+        let registry = match grace {
+            Some(grace) => {
+                self.changed
+                    .wait_timeout_while(registry, grace, pending)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
             }
+            None => self
+                .changed
+                .wait_while(registry, pending)
+                .unwrap_or_else(|e| e.into_inner()),
+        };
+        done(&registry)
+    }
+
+    /// Shuts down the socket of every live connection.
+    fn shutdown_sockets(&self, how: Shutdown) {
+        for conn in self.lock().conns.values() {
+            let _ = conn.socket.shutdown(how);
         }
-        for conn in conns.iter_mut() {
-            // 2. Retry ring + parked drains.
-            progress |= service_parked(conn, &service, &net, &tracing, &mut pool);
-            // 3. Read and dispatch new requests, with per-connection
-            //    admission bounds so one peer cannot balloon server
-            //    memory: stop reading while too many responses are in
-            //    flight, responses sit unflushed, or undecoded bytes
-            //    already cover at least one full frame.
-            if !shutting_down && !conn.closing {
-                // The socket is only read while every bound holds; the
-                // decode loop below always runs, so a gated decoder
-                // backlog still drains.
-                if conn.slots.len() < config.max_inflight_per_conn
-                    && conn.write_backlog() < config.max_write_buffer
-                    && conn.decoder.buffered() <= MAX_FRAME_PAYLOAD
-                {
-                    let fed = conn.fill_read(&mut scratch);
-                    net.bytes_in.add(fed as u64);
-                    progress |= fed > 0;
-                } else {
-                    net.read_gated.inc();
-                    net.events
-                        .emit(EventCode::ReadGate, net.reactor, conn.slots.len() as u64);
-                }
-                while conn.slots.len() < config.max_inflight_per_conn {
-                    // One clock read per frame while tracing is armed;
-                    // none at all when the hub is disabled — this is
-                    // the whole per-frame cost of the tracing noop twin.
-                    let recv_ns = if tracing.recorder.armed() {
-                        trace_clock_ns()
-                    } else {
-                        0
-                    };
-                    // Zero-copy decode: the frame body is borrowed from
-                    // the decoder's buffer and turned into an owned
-                    // Request in the same statement.
-                    let decoded = match conn.decoder.next_frame_borrowed() {
-                        Ok(Some(body)) => {
-                            progress = true;
-                            net.frames_decoded.inc();
-                            Request::decode(body)
-                        }
-                        Ok(None) => break,
-                        Err(e) => Err(e),
-                    };
-                    match decoded {
-                        Ok(request) => {
-                            let trace = request.trace_id();
-                            if trace != 0 {
-                                tracing.span_since(trace, TraceStage::Decode, recv_ns);
-                            }
-                            if dispatch(
-                                conn, request, recv_ns, &service, &config, &net, &tracing,
-                                &mut pool,
-                            ) {
-                                // Shutdown: stop decoding this
-                                // connection so no pipelined later
-                                // request is answered ahead of the
-                                // Goodbye (the in-order invariant),
-                                // and tell every other loop.
-                                shutting_down = true;
-                                coord.shutting_down.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            // Framing violation: answer once, then close
-                            // (the byte stream cannot be re-synchronized).
-                            // Only this reactor's connection dies; every
-                            // other connection — on this reactor and all
-                            // others — keeps serving.
-                            let error = Response::Error {
-                                code: ErrorCode::Protocol,
-                                message: e.to_string(),
-                            };
-                            conn.slots
-                                .push_back(Slot::Ready(encoded(&mut pool, &error)));
-                            conn.closing = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            // 4. Flush (one vectored write per connection per tick).
-            progress |= net.note_pump(conn.pump_writes(&mut pool));
-        }
-        net.retry_ring
-            .set(conns.iter().map(Connection::pending_ingests).sum::<usize>() as i64);
-        let before = conns.len();
-        conns.retain(|conn| !conn.dead());
-        let died = before - conns.len();
-        if died > 0 {
-            mailbox.load.fetch_sub(died, Ordering::Relaxed);
-        }
-        // Shutdown waits for every parked ingest/drain to land so no
-        // acknowledged-later work is silently dropped, then breaks to
-        // the quiesce barrier.
-        if shutting_down && conns.iter().all(|c| c.pending() == 0) {
-            break;
-        }
-        if progress {
-            // Only ticks that did work are recorded, so the histogram
-            // profiles the dispatch path rather than idle spinning.
-            net.tick_ns.record_duration(tick_start.elapsed());
-            hot = HOT_TICKS;
-        } else if hot > 0 {
-            hot = hot.saturating_sub(1);
-            std::thread::sleep(WARM_POLL_SLEEP.min(config.idle_sleep));
+    }
+}
+
+/// What the reader does after a request.
+enum Flow {
+    Continue,
+    /// Stop reading: a framing violation, or the writer failed.
+    Stop,
+    /// The peer asked for shutdown and is owed the `Goodbye`.
+    Goodbye,
+}
+
+/// One connection's reader.
+struct Reader<'a> {
+    server: &'a Server,
+    service: &'a AmsService,
+    stream: &'a TcpStream,
+    outbox: &'a Outbox,
+    tracing: Tracing,
+}
+
+impl Reader<'_> {
+    /// Queues one answer; `false` once the connection is dead.
+    fn push(&self, entry: Entry) -> bool {
+        let net = &self.server.net;
+        self.outbox
+            .push(entry, self.stream, net, || net.read_gated.inc())
+    }
+
+    fn answer(&self, response: &Response) -> Flow {
+        if self.push(Entry::Ready(encoded(response))) {
+            Flow::Continue
         } else {
-            // Parked work (drain polls, retry-ring ingests) waits on
-            // *service* progress, which for a deep queue is a long
-            // time: polling it at the warm grain would steal exactly
-            // the worker CPU it is waiting for, so the cold loop backs
-            // off to the cheap long sleep either way.
-            std::thread::sleep(config.idle_sleep);
+            Flow::Stop
         }
     }
-    // Quiesce: drop this reactor's service handle *before* checking in,
-    // so once the acceptor observes `quiesced == N` under the lock it
-    // holds the only remaining `Arc` and can unwrap + stop the service.
-    net.events
-        .emit(EventCode::ReactorStop, net.reactor, conns.len() as u64);
-    drop(service);
-    let final_state = {
-        let mut state = coord.state.lock().expect("coordinator never panics");
-        state.quiesced += 1;
-        coord.cv.notify_all();
+
+    /// Reads and dispatches requests until the peer closes, the
+    /// connection dies, or the server stops. Returns whether the peer
+    /// asked for shutdown.
+    fn run(&self) -> bool {
+        let mut stream = self.stream;
+        let mut decoder = FrameDecoder::new();
+        let mut chunk = vec![0u8; READ_CHUNK];
         loop {
-            if let Some(final_state) = &state.final_state {
-                break Arc::clone(final_state);
+            loop {
+                // Requests still buffered when the server stops are not
+                // answered; the peer sees the connection close.
+                if self.server.stop.load(Ordering::Acquire) {
+                    return false;
+                }
+                // One clock read per frame while tracing is armed; none
+                // at all when the hub is disabled.
+                let recv_ns = if self.tracing.recorder.armed() {
+                    trace_clock_ns()
+                } else {
+                    0
+                };
+                // Zero-copy decode: the frame body is borrowed from the
+                // decoder's buffer and turned into an owned Request in
+                // the same statement.
+                let decoded = match decoder.next_frame_borrowed() {
+                    Ok(Some(body)) => {
+                        self.server.net.frames_decoded.inc();
+                        Request::decode(body)
+                    }
+                    Ok(None) => break,
+                    Err(e) => Err(e),
+                };
+                let flow = match decoded {
+                    Ok(request) => {
+                        let trace = request.trace_id();
+                        if trace != 0 {
+                            self.tracing.span_since(trace, TraceStage::Decode, recv_ns);
+                        }
+                        self.dispatch(request, recv_ns)
+                    }
+                    // Framing violation: answer once, then stop reading
+                    // (the byte stream cannot be re-synchronized). Only
+                    // this connection dies.
+                    Err(e) => {
+                        self.answer(&Response::Error {
+                            code: ErrorCode::Protocol,
+                            message: e.to_string(),
+                        });
+                        Flow::Stop
+                    }
+                };
+                match flow {
+                    Flow::Continue => {}
+                    Flow::Stop => return false,
+                    Flow::Goodbye => return true,
+                }
             }
-            state = coord.cv.wait(state).expect("coordinator never panics");
+            match stream.read(&mut chunk) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.server.net.bytes_in.add(n as u64);
+                    decoder.feed(&chunk[..n]);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
         }
-    };
-    let (snapshot, stats) = &*final_state;
-    for conn in conns.iter_mut() {
-        if conn.wants_goodbye {
-            let goodbye = Response::Goodbye {
-                snapshot: snapshot.clone(),
-                stats: stats.clone(),
-            };
-            conn.slots
-                .push_back(Slot::Ready(encoded(&mut pool, &goodbye)));
-        }
-        conn.closing = true;
     }
-    // Farewell flush with a deadline: a peer that stopped reading
-    // cannot wedge the shutdown.
-    let deadline = Instant::now() + SHUTDOWN_FLUSH_DEADLINE;
-    while Instant::now() < deadline {
-        let mut flushed = true;
-        for conn in conns.iter_mut() {
-            net.note_pump(conn.pump_writes(&mut pool));
-            flushed &= conn.dead() || conn.flushed();
+
+    /// Handles one decoded request.
+    fn dispatch(&self, request: Request, recv_ns: u64) -> Flow {
+        let service = self.service;
+        let unknown = |e: ServiceError| Response::Error {
+            code: ErrorCode::UnknownAttribute,
+            message: e.to_string(),
+        };
+        let response = match request {
+            Request::IngestBlocks {
+                attribute,
+                blocks,
+                opts,
+            } => return self.ingest(&attribute, blocks, opts, recv_ns),
+            // Point queries merge only the queried attribute's shard
+            // counters — not a full every-attribute snapshot.
+            Request::QuerySelfJoin { attribute } => match service.self_join(&attribute) {
+                Ok(estimate) => Response::SelfJoin { estimate },
+                Err(e) => unknown(e),
+            },
+            Request::QueryTwoWayJoin { left, right } => match service.join(&left, &right) {
+                Ok(estimate) => Response::TwoWayJoin { estimate },
+                Err(e) => unknown(e),
+            },
+            Request::Snapshot => Response::Snapshot {
+                snapshot: service.snapshot(),
+            },
+            Request::Stats => Response::Stats {
+                stats: service.stats(),
+            },
+            // One scrape covers both layers: the front-end registers its
+            // instruments into the service's registry.
+            Request::Metrics => Response::Metrics {
+                snapshot: service.metrics_snapshot(),
+            },
+            // Scrape-time assembly of the tail-sampled traces.
+            Request::Traces => Response::Traces {
+                traces: service.traces(),
+            },
+            // Scrape-time merge of every thread's event ring.
+            Request::Events => Response::Events {
+                events: service.events(),
+            },
+            // The full health scrape; the mirrored gauges land in the
+            // registry as a side effect.
+            Request::Health => Response::Health {
+                health: service.health(),
+            },
+            // Every earlier ingest of this connection has been handed
+            // to the service already, so the cut recorded here covers
+            // all of them; the writer waits for it in order.
+            Request::Drain => {
+                return if self.push(Entry::Wait(Wait::Drain(service.drain_cut()))) {
+                    Flow::Continue
+                } else {
+                    Flow::Stop
+                };
+            }
+            // No later request of this connection is answered: the
+            // Goodbye must be its last response.
+            Request::Shutdown => {
+                request_stop(&self.server.stop, self.server.addr);
+                return Flow::Goodbye;
+            }
+        };
+        self.answer(&response)
+    }
+
+    /// Submits each block of an ingest request, in order, through the
+    /// blocking service path and queues one answer per block:
+    /// `Ingested` at acceptance, or a durable wait for a durable-ack
+    /// request. Block i carries the tag (producer, seq+i); a traced
+    /// batch attributes the whole frame to its first block, so one
+    /// trace never owns overlapping per-block spans.
+    fn ingest(
+        &self,
+        attribute: &str,
+        blocks: Vec<OpBlock>,
+        opts: IngestOpts,
+        recv_ns: u64,
+    ) -> Flow {
+        for (i, block) in blocks.into_iter().enumerate() {
+            let tag = opts.tag.map(|tag| IngestTag {
+                seq: tag.seq.wrapping_add(i as u64),
+                ..tag
+            });
+            let trace = if i == 0 {
+                TraceCtx {
+                    id: opts.trace,
+                    begin_ns: recv_ns,
+                }
+            } else {
+                TraceCtx::none()
+            };
+            let route_t0 = self.tracing.start(trace.id);
+            let entry = match self
+                .service
+                .ingest_block_traced(attribute, block, tag, trace.id)
+            {
+                Ok(handoff) => {
+                    self.tracing.route_span(trace.id, route_t0, handoff);
+                    if opts.durable {
+                        // The cut recorded right after acceptance covers
+                        // this submission.
+                        Entry::Wait(Wait::Durable {
+                            cut: self.service.durability_cut(),
+                            trace,
+                            accepted_ns: if route_t0 != 0 { handoff } else { 0 },
+                        })
+                    } else {
+                        Entry::Ready(self.tracing.finish(trace, &Response::Ingested))
+                    }
+                }
+                Err(error) => {
+                    self.tracing
+                        .span_since(trace.id, TraceStage::Route, route_t0);
+                    Entry::Ready(encoded(&ingest_failure(error)))
+                }
+            };
+            if !self.push(entry) {
+                return Flow::Stop;
+            }
         }
-        if flushed {
-            break;
+        Flow::Continue
+    }
+}
+
+/// One connection's thread: runs the reader with a scoped writer
+/// beside it, releases the service, and — when the peer asked for
+/// shutdown — sends the `Goodbye` once the acceptor published the
+/// final state.
+fn serve(server: &Server, id: u64, stream: TcpStream, service: Arc<AmsService>) {
+    let outbox = Outbox::new(server.config.max_inflight_per_conn);
+    let reader = Reader {
+        server,
+        service: &service,
+        stream: &stream,
+        outbox: &outbox,
+        tracing: server.lease_tracing(),
+    };
+    let goodbye = std::thread::scope(|scope| {
+        let writer = stream.try_clone().and_then(|write_half| {
+            let tracing = server.lease_tracing();
+            let (outbox, service) = (&outbox, &*service);
+            std::thread::Builder::new()
+                .name(format!("ams-net-writer-{id}"))
+                .spawn_scoped(scope, move || {
+                    write_loop(&write_half, outbox, service, &server.net, &tracing);
+                    tracing
+                })
+        });
+        let goodbye = writer.is_ok() && reader.run();
+        server.update(|r| {
+            if let Some(conn) = r.conns.get_mut(&id) {
+                conn.reading = false;
+            }
+        });
+        outbox.close();
+        if let Ok(Ok(tracing)) = writer.map(|w| w.join()) {
+            server.return_tracing(tracing);
         }
-        std::thread::sleep(config.idle_sleep);
+        goodbye
+    });
+    server.return_tracing(reader.tracing);
+    // Release the service before deregistering: the acceptor unwraps
+    // it once no connection is left.
+    drop(service);
+    server.update(|r| {
+        r.conns.remove(&id);
+    });
+    if goodbye && server.wait(|r| r.final_state.is_some(), None) {
+        let final_state = Arc::clone(server.lock().final_state.as_ref().expect("published"));
+        let (snapshot, stats) = &*final_state;
+        let frame = encoded(&Response::Goodbye {
+            snapshot: snapshot.clone(),
+            stats: stats.clone(),
+        });
+        server.net.frames_encoded.inc();
+        let _ = stream.set_write_timeout(Some(SHUTDOWN_GRACE));
+        if (&stream).write_all(&frame).is_ok() {
+            server.net.bytes_out.add(frame.len() as u64);
+        }
     }
 }
 
 /// Runs the front-end until a `Shutdown` frame arrives or the stop
 /// flag is raised, then gracefully stops the service and returns its
 /// final snapshot and lifetime statistics. The calling thread is the
-/// acceptor; `config.reactors` reactor threads do the per-connection
-/// work.
+/// acceptor.
 pub(crate) fn run(
     listener: TcpListener,
+    addr: SocketAddr,
     service: AmsService,
     config: NetServerConfig,
     stop: Arc<AtomicBool>,
 ) -> (ServiceSnapshot, ServiceStats) {
-    let reactors = config.reactors.max(1);
-    let service = Arc::new(service);
-    let coord = Arc::new(Coordinator {
-        shutting_down: AtomicBool::new(false),
-        state: Mutex::new(CoordState {
-            quiesced: 0,
-            final_state: None,
-        }),
-        cv: Condvar::new(),
+    let events = service.event_hub().recorder();
+    let server = Arc::new(Server {
+        addr,
+        stop,
+        config,
+        net: NetInstruments::new(&service.registry()),
+        trace_hub: service.trace_hub(),
+        recorders: Mutex::new(Vec::new()),
+        registry: Mutex::new(Registry::default()),
+        changed: Condvar::new(),
     });
-    let mailboxes: Vec<Arc<Mailbox>> = (0..reactors)
-        .map(|_| Arc::new(Mailbox::default()))
-        .collect();
-    let threads: Vec<std::thread::JoinHandle<()>> = (0..reactors)
-        .map(|index| {
-            let mailbox = Arc::clone(&mailboxes[index]);
-            let service = Arc::clone(&service);
-            let coord = Arc::clone(&coord);
-            std::thread::Builder::new()
-                .name(format!("ams-net-reactor-{index}"))
-                .spawn(move || reactor_loop(index, mailbox, service, coord, config))
-                .expect("spawn reactor thread")
-        })
-        .collect();
-    // Accept loop: place each socket on the least-loaded reactor,
-    // breaking ties round-robin from a rotating cursor so equal-load
-    // reactors share accepts instead of the first always winning.
-    let mut cursor = 0usize;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            coord.shutting_down.store(true, Ordering::Release);
-        }
-        if coord.shutting_down.load(Ordering::Acquire) {
+    let service = Arc::new(service);
+    events.emit(EventCode::ReactorStart, 0, 0);
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, incoming) in (0u64..).zip(listener.incoming()) {
+        if server.stop.load(Ordering::Acquire) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let mut best = cursor % reactors;
-                let mut best_load = mailboxes[best].load.load(Ordering::Relaxed);
-                for offset in 1..reactors {
-                    let candidate = (cursor + offset) % reactors;
-                    let load = mailboxes[candidate].load.load(Ordering::Relaxed);
-                    if load < best_load {
-                        best = candidate;
-                        best_load = load;
-                    }
-                }
-                cursor = cursor.wrapping_add(1);
-                let mailbox = &mailboxes[best];
-                mailbox.load.fetch_add(1, Ordering::Relaxed);
-                mailbox
-                    .sockets
-                    .lock()
-                    .expect("reactors never panic")
-                    .push(stream);
+        let stream = match incoming {
+            Ok(stream) => stream,
+            Err(_) => {
+                // Typically descriptor exhaustion: wait until a
+                // connection closes, for at most a short backoff.
+                let registry = server.lock();
+                let open = registry.conns.len();
+                let _ = server
+                    .changed
+                    .wait_timeout_while(registry, ACCEPT_ERROR_BACKOFF, |r| r.conns.len() == open);
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.idle_sleep);
+        };
+        // Purely an ack-latency optimization; not load-bearing.
+        let _ = stream.set_nodelay(true);
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
+        server.lock().conns.insert(
+            id,
+            Conn {
+                socket,
+                reading: true,
+            },
+        );
+        let (shared, handle) = (Arc::clone(&server), Arc::clone(&service));
+        match std::thread::Builder::new()
+            .name(format!("ams-net-conn-{id}"))
+            .spawn(move || serve(&shared, id, stream, handle))
+        {
+            Ok(thread) => {
+                threads.retain(|t| !t.is_finished());
+                threads.push(thread);
             }
-            Err(_) => std::thread::sleep(config.idle_sleep),
+            Err(_) => server.update(|r| {
+                r.conns.remove(&id);
+            }),
         }
     }
     drop(listener);
-    // Wait for every reactor to land parked work and release its
-    // service handle.
-    {
-        let mut state = coord.state.lock().expect("reactors never panic");
-        while state.quiesced < reactors {
-            state = coord.cv.wait(state).expect("reactors never panic");
-        }
+    events.emit(EventCode::ReactorStop, 0, server.lock().conns.len() as u64);
+    // 1. Stop reading: every reader blocked in `read` sees EOF, and one
+    //    mid-frame finishes that frame first.
+    server.shutdown_sockets(Shutdown::Read);
+    server.wait(
+        |r| r.conns.values().all(|c| !c.reading),
+        Some(SHUTDOWN_GRACE),
+    );
+    // 2. Close the service: the workers drain, sync, publish and exit,
+    //    which ends every durable and drain wait.
+    service.close();
+    // 3. Let the writers deliver. A peer that stopped reading has its
+    //    socket shut down, which fails the blocked write (and so
+    //    unblocks its reader too).
+    if !server.wait(|r| r.conns.is_empty(), Some(SHUTDOWN_GRACE)) {
+        server.shutdown_sockets(Shutdown::Both);
+        server.wait(|r| r.conns.is_empty(), None);
     }
+    // 4. Every connection dropped its service handle before it
+    //    deregistered, so this is the only one left.
     let service = match Arc::try_unwrap(service) {
         Ok(service) => service,
-        // Unreachable: every reactor drops its clone before its
-        // `quiesced` increment becomes visible under the lock.
-        Err(_) => unreachable!("a reactor quiesced while still holding the service"),
+        Err(_) => unreachable!("a connection deregistered while holding the service"),
     };
-    // Stop the service: closes the shard queues, drains the workers,
-    // joins them, and yields the final state.
     let (snapshot, stats) = service.shutdown();
-    {
-        let mut state = coord.state.lock().expect("reactors never panic");
-        state.final_state = Some(Arc::new((snapshot.clone(), stats.clone())));
-    }
-    coord.cv.notify_all();
+    server.lock().final_state = Some(Arc::new((snapshot.clone(), stats.clone())));
+    server.changed.notify_all();
     for thread in threads {
         let _ = thread.join();
     }

@@ -1,48 +1,40 @@
 //! The server façade: bind, run (or spawn), stop.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ams_service::{AmsService, ServiceSnapshot, ServiceStats};
 
 use crate::error::NetError;
 use crate::reactor;
 
-/// Tunables of the reactor's per-connection bounds.
+/// Tunables of the per-connection bounds.
+///
+/// Backpressure is flow control: each connection's reader submits
+/// through the service's blocking path, so a full shard queue parks
+/// that reader, which stops reading, and the peer's further sends
+/// stall in TCP. The server never sheds load with `Busy`; a fast
+/// producer simply runs at the speed of the shard workers, and server
+/// memory stays bounded by the shard queues plus
+/// `max_inflight_per_conn` queued responses per connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetServerConfig {
-    /// How many backpressured ingests one connection may park on its
-    /// retry ring before further ones are answered `Busy` immediately.
-    /// `0` disables parking entirely — every `WouldBlock` becomes an
-    /// immediate `Busy` (maximal load-shedding).
-    pub max_pending_per_conn: usize,
-    /// How many responses (ready or parked) one connection may have in
-    /// flight before the reactor stops reading more of its requests.
+    /// How many responses one connection may have queued for its
+    /// writer (ready frames and pending durable or drain waits) before
+    /// its reader stops reading more of its requests. `0` is treated
+    /// as `1`.
     pub max_inflight_per_conn: usize,
-    /// Unflushed response bytes beyond which the reactor stops reading
-    /// more of a connection's requests.
-    pub max_write_buffer: usize,
-    /// How long the reactor sleeps after a tick in which nothing at
-    /// all progressed.
-    pub idle_sleep: Duration,
-    /// How many reactor threads share the connections. The acceptor
-    /// hands each new socket to the least-loaded reactor (round-robin
-    /// on ties), so decode + dispatch scales with cores. `0` is
-    /// treated as `1`. The default is 1 — scaling past one reactor is
-    /// an explicit choice, sized to the host (e.g.
-    /// `std::thread::available_parallelism()`).
+    /// Ignored. Every connection gets its own reader and writer
+    /// thread, so I/O parallelism follows the connection count; the
+    /// field remains so existing configurations keep compiling.
     pub reactors: usize,
 }
 
 impl Default for NetServerConfig {
     fn default() -> Self {
         Self {
-            max_pending_per_conn: 8,
             max_inflight_per_conn: 64,
-            max_write_buffer: 256 * 1024,
-            idle_sleep: Duration::from_micros(200),
             reactors: 1,
         }
     }
@@ -51,12 +43,16 @@ impl Default for NetServerConfig {
 /// A handle that asks a running server to shut down gracefully (same
 /// path as a wire-level `Shutdown` request, minus the `Goodbye`).
 #[derive(Debug, Clone)]
-pub struct StopHandle(Arc<AtomicBool>);
+pub struct StopHandle {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
 
 impl StopHandle {
-    /// Raises the stop flag; the reactor notices on its next tick.
+    /// Raises the stop flag and wakes the acceptor out of `accept`
+    /// with a connection to the server's own address.
     pub fn stop(&self) {
-        self.0.store(true, Ordering::Release);
+        reactor::request_stop(&self.flag, self.addr);
     }
 }
 
@@ -97,7 +93,6 @@ impl NetServer {
     /// [`NetError::Io`] when binding fails.
     pub fn bind_with<A: ToSocketAddrs>(addr: A, config: NetServerConfig) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Self {
             listener,
@@ -114,21 +109,24 @@ impl NetServer {
 
     /// A handle that can stop the running server from another thread.
     pub fn stop_handle(&self) -> StopHandle {
-        StopHandle(Arc::clone(&self.stop))
+        StopHandle {
+            flag: Arc::clone(&self.stop),
+            addr: self.addr,
+        }
     }
 
     /// Runs the front-end on the calling thread (which becomes the
-    /// acceptor; `config.reactors` reactor threads own the
-    /// connections) until a wire `Shutdown` request arrives or the
-    /// stop handle fires, then returns the service's final snapshot
-    /// and lifetime statistics.
+    /// acceptor; every connection gets a reader and a writer thread)
+    /// until a wire `Shutdown` request arrives or the stop handle
+    /// fires, then returns the service's final snapshot and lifetime
+    /// statistics.
     pub fn run(self, service: AmsService) -> (ServiceSnapshot, ServiceStats) {
-        reactor::run(self.listener, service, self.config, self.stop)
+        reactor::run(self.listener, self.addr, service, self.config, self.stop)
     }
 
-    /// Spawns the acceptor (and its reactor threads) in the background
-    /// and returns a handle carrying the address, a stop handle, and
-    /// the join point.
+    /// Spawns the acceptor (and, as peers connect, their connection
+    /// threads) in the background and returns a handle carrying the
+    /// address, a stop handle, and the join point.
     pub fn spawn(self, service: AmsService) -> ServerHandle {
         let addr = self.addr;
         let stop = self.stop_handle();
@@ -163,18 +161,18 @@ impl ServerHandle {
     /// snapshot and statistics.
     ///
     /// # Panics
-    /// Propagates a panic from the reactor thread (none are expected;
-    /// the reactor is panic-free on arbitrary input by design).
+    /// Propagates a panic from the acceptor thread (none are expected;
+    /// the front-end is panic-free on arbitrary input by design).
     pub fn stop(self) -> (ServiceSnapshot, ServiceStats) {
         self.stop.stop();
-        self.thread.join().expect("reactor thread panicked")
+        self.thread.join().expect("acceptor thread panicked")
     }
 
     /// Waits for the server to finish on its own (wire `Shutdown`).
     ///
     /// # Panics
-    /// Propagates a panic from the reactor thread.
+    /// Propagates a panic from the acceptor thread.
     pub fn join(self) -> (ServiceSnapshot, ServiceStats) {
-        self.thread.join().expect("reactor thread panicked")
+        self.thread.join().expect("acceptor thread panicked")
     }
 }

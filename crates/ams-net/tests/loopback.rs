@@ -5,16 +5,17 @@
 //! * a stream ingested through the client/server path yields sketch
 //!   counters **bit-identical** to in-process ingestion of the same
 //!   stream, and
-//! * a fast producer against a cap-1 queue observes `Busy` load
-//!   shedding (with queue occupancy provably bounded) instead of a
-//!   stalled connection — and malformed bytes never crash the reactor.
+//! * a fast producer against a cap-1 queue is slowed by flow control
+//!   (queue occupancy provably bounded, nothing shed, nothing lost)
+//!   instead of stalling the server — and malformed bytes never crash
+//!   the front-end.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_net::{AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig, RetryPolicy};
+use ams_net::{AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig};
 use ams_service::{RouterPolicy, ServiceConfig};
 use ams_stream::{value_blocks, OpBlock};
 
@@ -116,41 +117,26 @@ fn client_streamed_ingest_is_bit_identical_to_in_process() {
 }
 
 #[test]
-fn fast_producer_sees_busy_not_stalls_and_memory_stays_bounded() {
-    // One shard, a one-block queue, and a server that parks nothing:
-    // every submission beyond what the worker keeps up with must be
-    // answered Busy. Big distinct-value blocks keep the worker busy
-    // long enough that the pipelined burst observably overruns.
+fn fast_producer_is_flow_controlled_and_memory_stays_bounded() {
+    // One shard and a one-block queue: a pipelined burst far beyond
+    // what the worker keeps up with parks the connection's reader on
+    // the full queue, so the producer is slowed down by TCP flow
+    // control — never shed, and never stalled for good. Big
+    // distinct-value blocks keep the worker busy long enough that the
+    // burst observably overruns the queue.
     let params = SketchParams::single_group(256).unwrap();
-    let config = NetServerConfig {
-        max_pending_per_conn: 0,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(1, 1, params, &["v"]));
 
     let values: Vec<u64> = (0..32_768u64).collect();
     let blocks: Vec<OpBlock> = value_blocks(&values, 4_096).collect();
-    let mut client = AmsClient::connect(addr)
-        .unwrap()
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 10_000,
-            max_backoff: Duration::from_millis(5),
-        });
+    let mut client = AmsClient::connect(addr).unwrap();
     let outcomes = client.ingest_blocks("v", &blocks).unwrap();
-    let busy: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| matches!(o, IngestOutcome::Busy { .. }).then_some(i))
-        .collect();
     assert!(
-        !busy.is_empty(),
-        "a pipelined burst against a cap-1 queue must be load-shed at least once"
+        outcomes.iter().all(|o| *o == IngestOutcome::Ingested),
+        "backpressure is flow control, not load shedding: {outcomes:?}"
     );
-    for i in &busy {
-        client.ingest_block("v", &blocks[*i]).unwrap();
-    }
     client.drain().unwrap();
 
     let stats = client.stats().unwrap();
@@ -159,11 +145,14 @@ fn fast_producer_sees_busy_not_stalls_and_memory_stays_bounded() {
         "queue occupancy must stay within the configured bound"
     );
     assert!(
-        stats.queue_rejections() >= busy.len() as u64,
-        "every Busy answer corresponds to a queue rejection"
+        stats.backpressure_events() > 0,
+        "a pipelined burst against a cap-1 queue must find it full"
     );
+    assert_eq!(stats.queue_rejections(), 0, "nothing is refused");
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.counter_total("net_busy_responses"), 0);
 
-    // Nothing was lost or double-applied along the shed/retry path.
+    // Nothing was lost or double-applied on the flow-controlled path.
     let snapshot = client.snapshot().unwrap();
     let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
     reference.extend_values(values.iter().copied());
@@ -177,9 +166,10 @@ fn fast_producer_sees_busy_not_stalls_and_memory_stays_bounded() {
 
 #[test]
 fn parked_ingests_are_acknowledged_in_order() {
-    // Default config: backpressured ingests park on the retry ring and
-    // are acknowledged once the worker catches up — the client just
-    // sees slower Ingested answers, never an error.
+    // Backpressured ingests park the connection's reader on the full
+    // shard queue and are acknowledged, in order, once the worker
+    // catches up — the client just sees slower Ingested answers, never
+    // an error.
     let params = SketchParams::single_group(128).unwrap();
     let server = NetServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
@@ -189,7 +179,6 @@ fn parked_ingests_are_acknowledged_in_order() {
     let blocks: Vec<OpBlock> = value_blocks(&values, 2_048).collect();
     let mut client = AmsClient::connect(addr).unwrap();
     let outcomes = client.ingest_blocks("v", &blocks).unwrap();
-    // Ring capacity (8) covers the whole burst: everything lands.
     assert!(outcomes.iter().all(|o| *o == IngestOutcome::Ingested));
     client.drain().unwrap();
     let snapshot = client.snapshot().unwrap();
@@ -269,7 +258,7 @@ fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
     // The PR's acceptance pin: after a pipelined ingest + drain, one
     // `Request::Metrics` scrape over loopback returns per-shard ingest
     // histograms and routed-ops counters that account for the whole
-    // stream, plus the reactor's own frame/byte counters.
+    // stream, plus the front-end's own frame/byte counters.
     let shards = 2;
     let params = SketchParams::new(64, 3).unwrap();
     let server = NetServer::bind("127.0.0.1:0").unwrap();
@@ -316,7 +305,7 @@ fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
         Some((shards * params.total()) as i64)
     );
 
-    // The reactor's series ride in the same snapshot: every request
+    // The front-end's series ride in the same snapshot: every request
     // frame this client sent was decoded — the pipelined blocks travel
     // coalesced into ingest frames of INGEST_BATCH blocks, plus the
     // drain and the metrics request itself — and every block
@@ -331,14 +320,6 @@ fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
     assert!(metrics.counter_total("net_frames_encoded") > blocks.len() as u64);
     assert!(metrics.counter_total("net_bytes_in") > 0);
     assert!(metrics.counter_total("net_bytes_out") > 0);
-    // Reactor instruments carry a reactor label now; a default server
-    // runs exactly one reactor.
-    assert!(
-        metrics
-            .histogram("net_tick_ns", &[("reactor", "0")])
-            .is_some_and(|t| t.count > 0),
-        "active reactor ticks must be profiled under reactor=\"0\""
-    );
 
     // The wire snapshot renders to exposition text naming both layers.
     let text = metrics.render_text();
@@ -408,7 +389,7 @@ fn malformed_frames_never_crash_the_reactor() {
         let _ = raw.read_to_end(&mut sink);
     }
 
-    // The reactor is still alive and correct after all of that.
+    // The server is still alive and correct after all of that.
     let mut client = AmsClient::connect(addr).unwrap();
     client.ingest_values("v", &[1, 2, 2, 9]).unwrap();
     client.drain().unwrap();
@@ -509,13 +490,13 @@ fn truncated_connection_mid_frame_is_harmless() {
 }
 
 #[test]
-fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
-    // The multi-reactor acceptance pin: two reactors, two clients (the
-    // least-connections handoff places one connection on each), one
-    // attribute fed from both sides. Linearity of the sketches means
-    // the merged counters must be bit-identical to single-threaded
-    // in-process ingestion of the same stream, and the metrics scrape
-    // must show distinct reactor="0" / reactor="1" series.
+fn two_connection_server_is_bit_identical() {
+    // Two clients, one attribute fed from both sides, each connection
+    // served by its own reader and writer. Linearity of the sketches
+    // means the merged counters must be bit-identical to
+    // single-threaded in-process ingestion of the same stream, and the
+    // front-end's series count both connections' traffic. The ignored
+    // `reactors` knob is still accepted.
     let params = SketchParams::new(64, 3).unwrap();
     let config = NetServerConfig {
         reactors: 2,
@@ -531,10 +512,11 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
 
     let mut client_a = AmsClient::connect(addr).unwrap();
     let mut client_b = AmsClient::connect(addr).unwrap();
-    // Interleave submissions from both connections so both reactors
-    // carry real traffic before the drain.
-    ingest_all(&mut client_a, "v", &blocks[..half]);
-    ingest_all(&mut client_b, "v", &blocks[half..]);
+    // Both connections stream concurrently before the drains.
+    std::thread::scope(|scope| {
+        scope.spawn(|| ingest_all(&mut client_a, "v", &blocks[..half]));
+        scope.spawn(|| ingest_all(&mut client_b, "v", &blocks[half..]));
+    });
     client_a.drain().unwrap();
     client_b.drain().unwrap();
 
@@ -545,37 +527,16 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
     assert_eq!(
         snapshot.sketch("v").unwrap().counters(),
         reference.counters(),
-        "two-reactor wire ingestion must be bit-identical to in-process"
+        "two-connection wire ingestion must be bit-identical to in-process"
     );
 
-    // One scrape shows both reactors' series, each with real traffic:
-    // the two connections were spread one per reactor, so each
-    // reactor decoded frames and ticked.
+    // Every ingest frame of both connections was decoded: each
+    // connection's half travels in INGEST_BATCH-block frames, plus the
+    // two drains, the snapshot and this metrics request.
     let metrics = client_b.metrics().unwrap();
-    for reactor in ["0", "1"] {
-        let labels = [("reactor", reactor)];
-        let decoded = metrics.counter("net_frames_decoded", &labels);
-        assert!(
-            decoded.is_some_and(|c| c > 0),
-            "reactor {reactor} decoded no frames: connections were not spread"
-        );
-        assert!(
-            metrics
-                .histogram("net_tick_ns", &labels)
-                .is_some_and(|t| t.count > 0),
-            "reactor {reactor} recorded no active ticks"
-        );
-    }
-    // The per-reactor series are genuinely distinct label sets, and
-    // their sum covers all decoded traffic.
-    let total = metrics.counter_total("net_frames_decoded");
-    let r0 = metrics
-        .counter("net_frames_decoded", &[("reactor", "0")])
-        .unwrap();
-    let r1 = metrics
-        .counter("net_frames_decoded", &[("reactor", "1")])
-        .unwrap();
-    assert_eq!(r0 + r1, total);
+    let frames = (2 * half.div_ceil(AmsClient::INGEST_BATCH) + 4) as u64;
+    assert_eq!(metrics.counter_total("net_frames_decoded"), frames);
+    assert_eq!(metrics.counter_total("net_busy_responses"), 0);
 
     drop(client_a);
     drop(client_b);
@@ -583,57 +544,37 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
 }
 
 #[test]
-fn two_reactor_busy_shedding_is_per_reactor_and_malformed_is_isolated() {
-    // Load-shedding and framing failures stay reactor-local: each
-    // connection's burst against a cap-1 queue earns Busy answers
-    // accounted under its own reactor's label, and a malformed frame
-    // killing one connection leaves connections on both reactors
-    // serving.
+fn two_connection_flow_control_is_per_connection_and_malformed_is_isolated() {
+    // Flow control and framing failures stay connection-local: both
+    // connections' bursts against a cap-1 queue are slowed down, never
+    // shed, and a malformed frame killing a third connection leaves
+    // both established ones serving.
     let params = SketchParams::single_group(256).unwrap();
-    let config = NetServerConfig {
-        max_pending_per_conn: 0,
-        reactors: 2,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(1, 1, params, &["v"]));
 
-    // Connection 1 → reactor 0, connection 2 → reactor 1
-    // (least-connections with round-robin tiebreak). A deep retry
-    // budget: with parking disabled every resubmission may be shed
-    // again.
-    let patient = RetryPolicy {
-        max_attempts: 10_000,
-        max_backoff: Duration::from_millis(5),
-    };
-    let mut client_a = AmsClient::connect(addr).unwrap().with_retry_policy(patient);
-    let mut client_b = AmsClient::connect(addr).unwrap().with_retry_policy(patient);
+    let mut client_a = AmsClient::connect(addr).unwrap();
+    let mut client_b = AmsClient::connect(addr).unwrap();
 
     // Big distinct-value blocks keep the single worker busy long
-    // enough that each client's pipelined burst observably overruns
+    // enough that both clients' concurrent pipelined bursts overrun
     // the cap-1 queue.
     let values: Vec<u64> = (0..32_768u64).collect();
     let blocks: Vec<OpBlock> = value_blocks(&values, 4_096).collect();
-    let shed_a = ingest_all(&mut client_a, "v", &blocks);
-    let shed_b = ingest_all(&mut client_b, "v", &blocks);
-    assert!(
-        shed_a > 0 && shed_b > 0,
-        "both connections' bursts must observe load shedding (a={shed_a}, b={shed_b})"
-    );
+    let (shed_a, shed_b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| ingest_all(&mut client_a, "v", &blocks));
+        let b = scope.spawn(|| ingest_all(&mut client_b, "v", &blocks));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!((shed_a, shed_b), (0, 0), "flow control sheds nothing");
     client_a.drain().unwrap();
+    let stats = client_a.stats().unwrap();
+    assert!(stats.max_queue_depth() <= 1);
+    assert!(stats.backpressure_events() > 0);
 
-    let metrics = client_a.metrics().unwrap();
-    for reactor in ["0", "1"] {
-        let busy = metrics.counter("net_busy_responses", &[("reactor", reactor)]);
-        assert!(
-            busy.is_some_and(|c| c > 0),
-            "reactor {reactor} shed nothing: Busy accounting is not per-reactor"
-        );
-    }
-
-    // A byte-soup connection (handed to one reactor) dies alone; both
-    // established clients keep working afterwards.
+    // A byte-soup connection dies alone; both established clients keep
+    // working afterwards.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.write_all(&[0xFF; 64]).unwrap();
     let mut sink = Vec::new();
@@ -643,7 +584,7 @@ fn two_reactor_busy_shedding_is_per_reactor_and_malformed_is_isolated() {
     client_b.ingest_values("v", &[2]).unwrap();
     client_a.drain().unwrap();
 
-    // Nothing was lost or double-applied across reactors and retries.
+    // Nothing was lost or double-applied across the two connections.
     let snapshot = client_b.snapshot().unwrap();
     let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
     reference.extend_values(values.iter().copied());

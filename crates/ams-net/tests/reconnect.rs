@@ -15,7 +15,7 @@ use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::{
     AckMode, AmsClient, IngestOutcome, NetServer, NetServerConfig, ReconnectPolicy, ServerHandle,
 };
-use ams_service::{AmsService, DurabilityConfig, RouterPolicy, ServiceConfig};
+use ams_service::{AmsService, DurabilityConfig, FaultPlan, RouterPolicy, ServiceConfig};
 use ams_stream::OpBlock;
 
 const SEED: u64 = 0xACED;
@@ -78,14 +78,12 @@ fn durable_service(dir: &Path) -> AmsService {
     AmsService::start(config, &["v"]).unwrap()
 }
 
-/// A net config whose retry ring covers the client's whole pipeline
-/// window, so in-order landing is preserved and `Busy` never fires at
-/// this load (the seq-dedup soundness precondition).
+/// The default net config: each connection's reader submits its blocks
+/// in order through the blocking service path, so every `(producer,
+/// shard)` seq reaches its worker in increasing order (the seq-dedup
+/// soundness precondition) and `Busy` never fires.
 fn net_config() -> NetServerConfig {
-    NetServerConfig {
-        max_pending_per_conn: 128,
-        ..NetServerConfig::default()
-    }
+    NetServerConfig::default()
 }
 
 fn bind_and_spawn(addr: &str, dir: &Path) -> ServerHandle {
@@ -226,4 +224,91 @@ fn fsync_acks_work_against_a_durability_off_server() {
     let snapshot = client.snapshot().unwrap();
     assert_eq!(snapshot.blocks(), 40);
     let _ = handle.stop();
+}
+
+#[test]
+fn backpressured_tagged_pipeline_applies_every_acked_block() {
+    // The silent-loss regression pin. One shard behind a one-block
+    // queue, with a durable WAL so the worker's high-water-mark dedup
+    // is live, and a reconnect-enabled (hence tagged) client pipelining
+    // big distinct-value blocks: the burst overruns the queue on almost
+    // every block. If a later block of the connection could reach the
+    // worker ahead of an earlier, backpressured one, the earlier block
+    // would arrive below the producer's high-water mark and be skipped
+    // as a duplicate after the client was told `Ingested`. Every acked
+    // block must be applied, run after run.
+    const BLOCKS: u64 = 256;
+    const VALUES: u64 = 1024;
+    for run in 0..4 {
+        let dir = TempDir::new("backpressure");
+        let config = ServiceConfig::builder()
+            .shards(1)
+            .queue_capacity(1)
+            .sketch_params(params())
+            .seed(SEED)
+            .router(RouterPolicy::HashPartition)
+            .durability(DurabilityConfig::new(dir.path()))
+            .build()
+            .unwrap();
+        let service = AmsService::start(config, &["v"]).unwrap();
+        let handle = NetServer::bind_with("127.0.0.1:0", net_config())
+            .unwrap()
+            .spawn(service);
+        let mut client = AmsClient::connect(handle.addr())
+            .unwrap()
+            .with_reconnect(ReconnectPolicy::default());
+        let blocks: Vec<OpBlock> = (0..BLOCKS)
+            .map(|i| OpBlock::from_values((0..VALUES).map(|j| i * VALUES + j)))
+            .collect();
+        let outcomes = client.ingest_blocks("v", &blocks).unwrap();
+        let acked = outcomes
+            .iter()
+            .filter(|o| **o == IngestOutcome::Ingested)
+            .count() as u64;
+        assert_eq!(acked, BLOCKS, "run {run}: flow control sheds nothing");
+        client.drain().unwrap();
+        assert_eq!(
+            client.snapshot().unwrap().ops(),
+            acked * VALUES,
+            "run {run}: every acked block must be applied"
+        );
+        drop(client);
+        let _ = handle.stop();
+    }
+}
+
+#[test]
+fn stop_returns_while_a_durable_ack_waits_on_a_wedged_shard() {
+    // The second WAL append fails, so the shard wedges: it keeps
+    // draining its queue but its durable watermark freezes, and the
+    // ack-after-fsync for that block can never come. Stopping the
+    // server must still return — closing the service ends the wait —
+    // and the pending ack is answered with an error, not dropped into
+    // a hang.
+    let dir = TempDir::new("wedged");
+    let config = ServiceConfig::builder()
+        .shards(1)
+        .sketch_params(params())
+        .seed(SEED)
+        .durability(DurabilityConfig::new(dir.path()).with_fault(FaultPlan {
+            fail_after_appends: Some(1),
+            ..FaultPlan::default()
+        }))
+        .build()
+        .unwrap();
+    let service = AmsService::start(config, &["v"]).unwrap();
+    let handle = NetServer::bind("127.0.0.1:0").unwrap().spawn(service);
+    let mut client = AmsClient::connect(handle.addr())
+        .unwrap()
+        .with_ack_mode(AckMode::Fsync);
+    client.ingest_block("v", &block(0)).unwrap();
+    let waiter = std::thread::spawn(move || client.ingest_block("v", &block(1)));
+    // Give the doomed ingest time to reach the server's durable wait.
+    std::thread::sleep(Duration::from_millis(100));
+    let (snapshot, _) = handle.stop();
+    assert_eq!(snapshot.blocks(), 1, "the failed append was not applied");
+    assert!(
+        waiter.join().unwrap().is_err(),
+        "an ack that can never be durable is refused, not hung"
+    );
 }

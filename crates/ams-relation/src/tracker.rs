@@ -108,12 +108,6 @@ impl TrackerConfig {
         })
     }
 
-    /// Overrides the skew-sketch shape.
-    pub fn with_skew_params(mut self, params: SketchParams) -> Self {
-        self.skew_params = params;
-        self
-    }
-
     /// The per-attribute signature size.
     pub fn signature_k(&self) -> usize {
         self.signature_k

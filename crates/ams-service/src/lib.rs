@@ -33,8 +33,9 @@
 //!   [`AmsService::start`] recovers checkpoint + log tail into
 //!   bit-identical counters (the sketches are linear, so replaying a
 //!   logged prefix *is* the never-crashed state). The
-//!   [`AmsService::durability_cut`] / [`AmsService::poll_durable`]
-//!   pair gives front-ends ack-after-fsync.
+//!   [`AmsService::durability_cut`] / [`AmsService::wait_durable`]
+//!   pair gives front-ends ack-after-fsync: the shard worker wakes the
+//!   waiters when it advances its durable watermark after a sync.
 //! * Request tracing — a sampled ingest carries a `trace_id` down the
 //!   shard path; workers stamp queue/kernel/WAL/fsync spans into
 //!   bounded per-thread rings on the service's [`TraceHub`], the tail

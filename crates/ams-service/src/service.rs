@@ -1,7 +1,6 @@
 //! The service façade: registration, routed ingestion, queries,
 //! drain and shutdown.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -21,13 +20,13 @@ use crate::heavy::{HeavyEntry, HeavyKeys};
 use crate::queue::{BlockQueue, IngestTag, PushError, ShardTask};
 use crate::router::{Router, RouterPolicy};
 use crate::shard::{DurableShardState, ShardWorker};
-use crate::snapshot::{ServiceSnapshot, ShardCell};
+use crate::snapshot::{Mark, ServiceSnapshot, ShardCell};
 use crate::stats::{ServiceStats, ShardStats};
 use crate::telemetry::ServiceTelemetry;
 
 /// A recorded drain target: the per-shard block counts that had been
-/// submitted when [`AmsService::drain_cut`] was called. Opaque — feed
-/// it back to [`AmsService::poll_drained`] until the cut is reached.
+/// submitted when [`AmsService::drain_cut`] was called. Opaque — hand
+/// it to [`AmsService::wait_drained`] to wait for the cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainCut {
     /// Per-shard enqueue counts at cut time.
@@ -35,8 +34,8 @@ pub struct DrainCut {
 }
 
 /// A recorded durability target: the per-shard block counts that had
-/// been submitted when [`AmsService::durability_cut`] was called. Feed
-/// it back to [`AmsService::poll_durable`] until every one of those
+/// been submitted when [`AmsService::durability_cut`] was called. Hand
+/// it to [`AmsService::wait_durable`] to wait until every one of those
 /// submissions is durable — the primitive behind ack-after-fsync.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableCut {
@@ -78,10 +77,6 @@ pub struct AmsService {
     cells: Vec<Arc<ShardCell>>,
     workers: Vec<JoinHandle<()>>,
     telemetry: ServiceTelemetry,
-    /// Per-shard durable watermarks (empty when durability is off):
-    /// this-lifetime popped blocks whose effects have reached stable
-    /// storage per the fsync policy.
-    durable_watermarks: Vec<Arc<AtomicU64>>,
     /// What startup recovery did per shard (empty when durability is
     /// off).
     recovery: Vec<ShardRecovery>,
@@ -163,7 +158,6 @@ impl AmsService {
         // Recover durable state before any worker runs: each shard's
         // WAL is opened, its newest valid checkpoint loaded, and the
         // log tail replayed; the worker seeds from the recovered state.
-        let mut durable_watermarks = Vec::new();
         let mut recovery = Vec::new();
         let mut durable_states: Vec<Option<DurableShardState>> =
             (0..config.shards()).map(|_| None).collect();
@@ -177,14 +171,11 @@ impl AmsService {
                 let instruments = WalInstruments::register(telemetry.registry(), shard);
                 let (wal, recovered, report) =
                     ShardDurable::open(dcfg, shard, &shape, instruments)?;
-                let watermark = Arc::new(AtomicU64::new(0));
-                durable_watermarks.push(Arc::clone(&watermark));
                 *slot = Some(DurableShardState {
                     wal,
                     checkpointed_blocks: report.checkpoint_blocks,
                     recovered: Some(recovered),
                     checkpoint_every: dcfg.checkpoint_every_blocks,
-                    watermark,
                     failed: false,
                 });
                 recovery.push(report);
@@ -225,7 +216,6 @@ impl AmsService {
             cells,
             workers,
             telemetry,
-            durable_watermarks,
             recovery,
             trace_hub,
             heavy,
@@ -242,7 +232,7 @@ impl AmsService {
 
     /// Whether this service runs with a durability layer.
     pub fn durability_enabled(&self) -> bool {
-        !self.durable_watermarks.is_empty()
+        self.config.durability().is_some()
     }
 
     /// What startup recovery did, one report per shard — checkpoint
@@ -301,17 +291,45 @@ impl AmsService {
         block: OpBlock,
         tag: Option<IngestTag>,
     ) -> Result<(), ServiceError> {
+        self.ingest_block_traced(attribute, block, tag, 0)
+            .map(|_| ())
+    }
+
+    /// [`Self::ingest_block_tagged`] with a request trace id (`0` =
+    /// untraced): the blocking submission path of a network front-end,
+    /// where a full shard queue parks the submitting connection (and so
+    /// becomes TCP flow control) instead of refusing the block. The
+    /// trace rides the first placement only, and the returned value is
+    /// its handoff instant, exactly as for
+    /// [`Self::try_ingest_block_traced_returning`]: the instant the
+    /// traced task was built, which is where its shard-side `queue`
+    /// span starts (any wait for queue space included).
+    ///
+    /// # Errors
+    /// As for [`Self::ingest_block`].
+    pub fn ingest_block_traced(
+        &self,
+        attribute: &str,
+        block: OpBlock,
+        tag: Option<IngestTag>,
+        trace: u64,
+    ) -> Result<u64, ServiceError> {
         let attr = self.attr_index(attribute)?;
         let tag = self.effective_tag(tag);
         self.observe_heavy(attr, &block);
-        for (shard, part) in self.router.route(block) {
+        let mut handoff = 0;
+        for (i, (shard, part)) in self.router.route(block).into_iter().enumerate() {
             let part_ops = part.ops();
+            let part_trace = if i == 0 { trace } else { 0 };
+            if part_trace != 0 {
+                handoff = trace_clock_ns();
+            }
             self.queues[shard]
-                .push(ShardTask::tagged(attr, part, tag))
+                .push(ShardTask::traced(attr, part, tag, part_trace))
                 .map_err(|_| ServiceError::Closed)?;
             self.telemetry.shards[shard].routed_ops.add(part_ops);
         }
-        Ok(())
+        Ok(handoff)
     }
 
     /// Feeds the attribute's heavy-key observer and shadow-audit
@@ -351,8 +369,8 @@ impl AmsService {
     }
 
     /// Like [`Self::try_ingest_block`], but hands the block back on
-    /// failure, so a caller that parks and retries (e.g. the `ams-net`
-    /// reactor's per-connection retry ring) submits without cloning.
+    /// failure, so a caller that parks and retries submits without
+    /// cloning.
     /// The returned block is update-equivalent to the submitted one;
     /// when the hash-partition router had split it, entries come back
     /// regrouped by shard (per-value order preserved — all that the
@@ -513,14 +531,15 @@ impl AmsService {
 
     /// Waits until every block submitted **before this call** has been
     /// **processed** and published, so a subsequent [`Self::snapshot`]
-    /// reflects them all. Processed means taken off the queue: applied,
-    /// or skipped as a tagged duplicate, or discarded by a wedged
-    /// durability writer — a drain is a *processing* barrier, not a
-    /// durability one (durable acks still stall on a wedged shard via
-    /// its frozen watermark; see [`Self::poll_durable`]). Concurrent
-    /// producers may keep submitting; their later blocks are not waited
-    /// for (each shard publishes on request after at most one more
-    /// processed block, regardless of the configured cadence).
+    /// reflects them all: `wait_drained(&drain_cut())`. Processed
+    /// means taken off the queue: applied, or skipped as a tagged
+    /// duplicate, or discarded by a wedged durability writer — a drain
+    /// is a *processing* barrier, not a durability one (durable waits
+    /// still stall on a wedged shard via its frozen watermark; see
+    /// [`Self::wait_durable`]). Concurrent producers may keep
+    /// submitting; their later blocks are not waited for (each shard
+    /// publishes as soon as it has processed its target, regardless of
+    /// the configured cadence).
     ///
     /// Returns the epoch the drain reached: the **lowest** per-shard
     /// publish epoch observed once every shard had published its drain
@@ -530,88 +549,95 @@ impl AmsService {
     /// before the drain — the consistent cut a caller (or a network
     /// front-end's Drain response) can hand to clients.
     pub fn drain(&self) -> u64 {
-        let cut = self.drain_cut();
-        // Request everywhere first, then wait: lagging shards publish
-        // in parallel instead of one drain-wait at a time.
-        for (cell, &target) in self.cells.iter().zip(&cut.targets) {
-            if cell.progress().processed < target {
-                cell.request_publish();
-            }
-        }
-        self.cells
-            .iter()
-            .zip(cut.targets)
-            .map(|(cell, target)| cell.wait_for_processed(target))
-            .min()
-            .expect("a service has at least one shard")
+        self.wait_drained(&self.drain_cut())
     }
 
     /// Records the drain target — everything submitted **before this
-    /// call** — without waiting. Poll it to completion with
-    /// [`Self::poll_drained`]: the non-blocking pair a reactor-style
-    /// front-end uses so a Drain request never parks its event loop.
+    /// call** — without waiting. A front-end records the cut where the
+    /// Drain request sits in its stream and waits for it elsewhere
+    /// ([`Self::wait_drained`]), so later requests keep flowing.
     pub fn drain_cut(&self) -> DrainCut {
         DrainCut {
             targets: self.queues.iter().map(|q| q.pushed()).collect(),
         }
     }
 
-    /// Checks one recorded [`DrainCut`] for completion, without
-    /// blocking. While any shard still lags its target, this re-arms
-    /// that shard's publish request (the worker honours it after at
-    /// most one more applied block) and returns `None`; once every
-    /// shard has published its target, returns the cut's epoch with
-    /// the same meaning as [`Self::drain`]'s return value.
-    pub fn poll_drained(&self, cut: &DrainCut) -> Option<u64> {
-        let mut epoch = u64::MAX;
-        let mut reached = true;
-        for (cell, &target) in self.cells.iter().zip(&cut.targets) {
-            let progress = cell.progress();
-            if progress.processed < target {
-                cell.request_publish();
-                reached = false;
-            } else {
-                epoch = epoch.min(progress.epoch);
-            }
+    /// Blocks until every shard has processed and published its target
+    /// in `cut`, and returns the cut's epoch with the same meaning as
+    /// [`Self::drain`]'s return value. The shard workers wake the wait
+    /// when they publish; nothing polls. Publishes are requested from
+    /// every lagging shard first, so they catch up in parallel. Returns
+    /// early, with the epochs reached so far, if a shard's worker has
+    /// exited ([`Self::close`]) — after processing everything queued,
+    /// which covers any cut recorded before the close.
+    pub fn wait_drained(&self, cut: &DrainCut) -> u64 {
+        self.request_publishes(&cut.targets);
+        self.cells
+            .iter()
+            .zip(&cut.targets)
+            .map(|(cell, &target)| cell.wait_for(Mark::Processed, target).epoch)
+            .min()
+            .expect("a service has at least one shard")
+    }
+
+    /// Asks every shard for the out-of-cadence publish covering its
+    /// target.
+    fn request_publishes(&self, targets: &[u64]) {
+        for (cell, &target) in self.cells.iter().zip(targets) {
+            cell.request_publish(target);
         }
-        (reached && epoch != u64::MAX).then_some(epoch)
     }
 
     /// Records the durability target — everything submitted **before
-    /// this call** — without waiting. Poll it to completion with
-    /// [`Self::poll_durable`]: the primitive behind ack-after-fsync
-    /// (`ams-net`'s durable ingest acks ride exactly this pair).
+    /// this call** — without waiting; [`Self::wait_durable`] waits for
+    /// it. This pair is the primitive behind ack-after-fsync (`ams-net`'s
+    /// durable ingest acks ride exactly it).
     pub fn durability_cut(&self) -> DurableCut {
         DurableCut {
             targets: self.queues.iter().map(|q| q.pushed()).collect(),
         }
     }
 
-    /// Checks one recorded [`DurableCut`] for completion, without
-    /// blocking: `true` once every block submitted before the cut has
-    /// been appended to its shard's WAL **and** fsynced per the
-    /// configured policy. The shard queues are FIFO, so the per-shard
-    /// durable watermark (popped blocks whose effects are on stable
-    /// storage) covering the cut's enqueue count covers every one of
-    /// those submissions.
+    /// Blocks until every block submitted before `cut` has been
+    /// appended to its shard's WAL **and** fsynced per the configured
+    /// policy. The shard queues are FIFO, so the per-shard durable
+    /// watermark (popped blocks whose effects are on stable storage)
+    /// covering the cut's enqueue count covers every one of those
+    /// submissions. The worker advances the watermark under the
+    /// shard's progress lock after each sync and wakes the waiters;
+    /// nothing polls.
+    ///
+    /// Returns `Some(reached_ns)`, a trace-clock instant no earlier
+    /// than the watermark advances that completed the cut (so a
+    /// `durable_wait` span starting there never overlaps the shard's
+    /// `wal_append`/`fsync` spans), or `None` when a shard's worker
+    /// exited short of the cut: a shard whose durability layer failed
+    /// freezes its watermark, and its waits end only when the service
+    /// stops ([`Self::close`]), exactly like acks against a crashed
+    /// server.
     ///
     /// With durability disabled there is no stable storage to wait
-    /// for; the poll degrades to the [`Self::poll_drained`] condition
-    /// (applied and published), so callers can use one code path for
-    /// both configurations. A shard whose durability layer has failed
-    /// freezes its watermark, and cuts past the failure point never
-    /// complete — exactly like acks against a crashed server.
-    pub fn poll_durable(&self, cut: &DurableCut) -> bool {
-        if self.durable_watermarks.is_empty() {
-            let drained = DrainCut {
-                targets: cut.targets.clone(),
-            };
-            return self.poll_drained(&drained).is_some();
+    /// for; the wait degrades to the [`Self::wait_drained`] condition
+    /// (processed and published), so callers can use one code path for
+    /// both configurations.
+    pub fn wait_durable(&self, cut: &DurableCut) -> Option<u64> {
+        let mark = if self.durability_enabled() {
+            Mark::Durable
+        } else {
+            self.request_publishes(&cut.targets);
+            Mark::Processed
+        };
+        let mut reached_ns = 0;
+        for (cell, &target) in self.cells.iter().zip(&cut.targets) {
+            let progress = cell.wait_for(mark, target);
+            if progress.mark(mark) < target {
+                return None;
+            }
+            if target > 0 {
+                reached_ns = reached_ns.max(progress.changed_ns);
+            }
         }
-        self.durable_watermarks
-            .iter()
-            .zip(&cut.targets)
-            .all(|(watermark, &target)| watermark.load(Ordering::Acquire) >= target)
+        Some(reached_ns)
     }
 
     /// Current depth of one shard's queue (blocks waiting, excluding
@@ -698,7 +724,7 @@ impl AmsService {
 
     /// The structured event hub behind this service. Front-ends borrow
     /// per-thread recorders from it for their own lifecycle events
-    /// (Busy shedding, read-gate trips, reactor start/stop) and flip
+    /// (e.g. the network front-end's start/stop) and flip
     /// recording with `EventHub::set_enabled`.
     pub fn event_hub(&self) -> Arc<EventHub> {
         Arc::clone(&self.event_hub)
@@ -937,6 +963,19 @@ impl AmsService {
         Ok(self.heavy.get(attr).map(HeavyKeys::top).unwrap_or_default())
     }
 
+    /// Begins shutdown through a shared handle: closes the queues, so
+    /// further ingestion fails with [`ServiceError::Closed`] and blocked
+    /// submitters wake; every worker then drains what is queued, makes
+    /// it durable, publishes, and exits — which also ends every pending
+    /// [`Self::wait_durable`] / [`Self::wait_drained`]. Queries keep
+    /// answering from the final publishes. [`Self::shutdown`] finishes
+    /// the job.
+    pub fn close(&self) {
+        for queue in &self.queues {
+            queue.close();
+        }
+    }
+
     /// Graceful shutdown: closes the queues (rejecting further
     /// ingestion), lets every worker drain its remaining blocks and
     /// publish a final snapshot, joins the worker threads, and returns
@@ -947,9 +986,7 @@ impl AmsService {
     }
 
     fn close_and_join(&mut self) {
-        for queue in &self.queues {
-            queue.close();
-        }
+        self.close();
         for worker in self.workers.drain(..) {
             if let Err(panic) = worker.join() {
                 if std::thread::panicking() {
@@ -1133,25 +1170,30 @@ mod tests {
     }
 
     #[test]
-    fn poll_drained_completes_without_blocking() {
+    fn recorded_cuts_are_waited_for_and_end_with_the_service() {
         let service = AmsService::start(config(2), &["a"]).unwrap();
         // An empty cut is immediately reached.
         let empty = service.drain_cut();
-        assert!(service.poll_drained(&empty).is_some());
+        assert_eq!(service.wait_drained(&empty), 0);
         for chunk in (0..400u64).collect::<Vec<_>>().chunks(16) {
             service.ingest_values("a", chunk).unwrap();
         }
         let cut = service.drain_cut();
-        let epoch = loop {
-            if let Some(epoch) = service.poll_drained(&cut) {
-                break epoch;
-            }
-            std::thread::yield_now();
-        };
+        let durable = service.durability_cut();
+        let epoch = service.wait_drained(&cut);
         assert!(epoch >= 1);
         assert_eq!(service.snapshot().ops(), 400);
+        // Without a WAL the durable wait is the drained condition.
+        assert!(service.wait_durable(&durable).is_some());
         // The blocking drain agrees the cut is already reached.
         assert!(service.drain() >= epoch);
+        // A cut past anything ever submitted returns once the workers
+        // exit instead of hanging.
+        let beyond = DurableCut {
+            targets: vec![u64::MAX; 2],
+        };
+        service.close();
+        assert!(service.wait_durable(&beyond).is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The shard worker loop: drain the shard's bounded queue through the
 //! zero-allocation block kernels, publish snapshots on a cadence —
 //! and, when durability is configured, write-ahead-log every block
-//! before applying it, advance the shard's durable watermark on fsync,
-//! and checkpoint the sketch state on a block cadence.
+//! before applying it, advance the shard's durable watermark on fsync
+//! (waking every durable waiter), and checkpoint the sketch state on a
+//! block cadence.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
@@ -32,16 +32,22 @@ pub(crate) struct DurableShardState {
     /// the cadence, and once more at clean shutdown so restart replays
     /// nothing.
     pub checkpointed_blocks: u64,
-    /// This-lifetime count of popped blocks whose effects are durable;
-    /// shared with [`AmsService::poll_durable`](crate::AmsService::poll_durable).
-    pub watermark: Arc<AtomicU64>,
     /// Set when a WAL operation fails: the shard stops logging,
     /// applying, publishing, and checkpointing (an inconsistent log
     /// must not grow, and unlogged state must not leak into
     /// checkpoints), but keeps draining its queue so producers do not
-    /// block. The watermark freezes — durable acks stall exactly like
-    /// a crashed server's.
+    /// block. The watermark freezes — durable waits stall until the
+    /// service stops, exactly like acks against a crashed server.
     pub failed: bool,
+}
+
+/// Marks the shard's cell stopped when the worker exits.
+struct StopGuard(Arc<ShardCell>);
+
+impl Drop for StopGuard {
+    fn drop(&mut self) {
+        self.0.mark_stopped();
+    }
 }
 
 /// Everything one worker thread needs; constructed by the service,
@@ -86,6 +92,9 @@ impl ShardWorker {
         // allocation-free. Each sketch's footprint is accounted to its
         // attribute's memory gauge for as long as the worker lives.
         self.events.emit(EventCode::ShardStart, self.shard, 0);
+        // However the loop ends (a panic included), waiters on this
+        // shard's progress wake and stop waiting.
+        let _stopped = StopGuard(Arc::clone(&self.cell));
         let mut durable = self.durable;
         let recovered = durable.as_mut().and_then(|d| d.recovered.take());
         // Baseline for rotation/truncation events: segment-count moves
@@ -149,7 +158,21 @@ impl ShardWorker {
             published_blocks = blocks;
             publish(&sketches, epoch, blocks, ops, popped);
         }
+        // Whether the queue was empty after the previous task, so this
+        // pop slept until a producer's push woke the worker.
+        let mut woke = true;
         while let Some(task) = self.queue.pop() {
+            if woke {
+                // A burst wakes the submitting connection's reader, this
+                // worker and often a query's reader together. The apply
+                // below holds the core for up to hundreds of µs, so let
+                // the short I/O work that woke alongside it go first: on
+                // a host with fewer cores than runnable threads that is
+                // the difference between a query answered in µs and one
+                // queued behind a whole block. With nothing else to run
+                // this returns at once.
+                std::thread::yield_now();
+            }
             let wait = task.enqueued_at.elapsed();
             self.instruments.queue_wait_ns.record_duration(wait);
             // Span sites below are guarded so untraced tasks (the vast
@@ -230,9 +253,11 @@ impl ShardWorker {
             // hits and a wedged writer's discards — publish through the
             // same gate: drains wait on *processed*, not applied, so
             // progress must cover every pop.
+            let drained = self.queue.depth() == 0;
+            woke = drained;
             if blocks - published_blocks >= self.publish_every
-                || self.queue.depth() == 0
-                || self.cell.take_publish_request()
+                || drained
+                || self.cell.publish_requested(popped, published_processed)
             {
                 epoch += 1;
                 published_blocks = blocks;
@@ -254,7 +279,7 @@ impl ShardWorker {
                                 self.recorder
                                     .record_since(task.trace, TraceStage::Fsync, t0);
                             }
-                            d.watermark.store(popped, Ordering::Release);
+                            self.cell.advance_durable(popped);
                         }
                         Ok(false) => {}
                         Err(_) => d.failed = true,
@@ -290,7 +315,7 @@ impl ShardWorker {
         if let Some(d) = durable.as_mut() {
             if !d.failed {
                 match d.wal.maybe_sync(true) {
-                    Ok(true) => d.watermark.store(popped, Ordering::Release),
+                    Ok(true) => self.cell.advance_durable(popped),
                     _ => d.failed = true,
                 }
             }

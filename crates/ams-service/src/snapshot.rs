@@ -14,10 +14,11 @@
 //! consistent, queryable [`ServiceSnapshot`] stamped with the publish
 //! epochs it reflects.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
 use ams_core::{SelfJoinEstimator, TugOfWarSketch};
+use ams_telemetry::trace_clock_ns;
 
 use crate::error::ServiceError;
 
@@ -42,9 +43,9 @@ pub(crate) struct ShardSnapshot {
     pub counters: Vec<Vec<i64>>,
 }
 
-/// The scalar publish progress of one shard, kept outside the snapshot
-/// lock so drainers can condvar-wait and [`stats`](crate::AmsService::stats)
-/// can poll without touching the counter columns.
+/// The scalar progress of one shard, kept outside the snapshot lock so
+/// waiters can condvar-wait on it and [`stats`](crate::AmsService::stats)
+/// can read it without touching the counter columns.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ShardProgress {
     /// Publish epoch.
@@ -56,6 +57,35 @@ pub(crate) struct ShardProgress {
     /// This-lifetime processed tasks at the last publish (see
     /// [`ShardSnapshot::processed`]).
     pub processed: u64,
+    /// The durable watermark: this-lifetime popped tasks whose effects
+    /// have reached stable storage per the fsync policy (stays 0 when
+    /// durability is off, and freezes when the shard's WAL fails).
+    pub durable: u64,
+    /// Trace-clock instant of the last change to any field above: a
+    /// lower bound on when a waiter's target was reached that never
+    /// precedes the shard-side spans that reached it.
+    pub changed_ns: u64,
+    /// The worker has exited: nothing here will move again.
+    pub stopped: bool,
+}
+
+/// Which progress mark a [`ShardCell::wait_for`] waits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mark {
+    /// Processed and published ([`ShardProgress::processed`]).
+    Processed,
+    /// On stable storage ([`ShardProgress::durable`]).
+    Durable,
+}
+
+impl ShardProgress {
+    /// The value of `mark`.
+    pub(crate) fn mark(&self, mark: Mark) -> u64 {
+        match mark {
+            Mark::Processed => self.processed,
+            Mark::Durable => self.durable,
+        }
+    }
 }
 
 /// The per-shard publish register.
@@ -63,12 +93,15 @@ pub(crate) struct ShardProgress {
 pub(crate) struct ShardCell {
     snapshot: RwLock<ShardSnapshot>,
     progress: Mutex<ShardProgress>,
-    published: Condvar,
-    /// Set by drainers to ask the worker for an out-of-cadence publish
+    /// Notified on every progress change (publish, watermark advance,
+    /// worker exit).
+    changed: Condvar,
+    /// The highest processed count a waiter needs published: the
+    /// worker publishes out of cadence as soon as it reaches it
     /// (otherwise a busy worker with a large cadence could sit on
-    /// applied-but-unpublished blocks indefinitely); the worker takes
-    /// it after each applied block.
-    publish_requested: AtomicBool,
+    /// processed-but-unpublished tasks indefinitely), and only then, so
+    /// a waiter is not woken once per task on its way there.
+    publish_target: AtomicU64,
 }
 
 impl ShardCell {
@@ -82,33 +115,60 @@ impl ShardCell {
                 counters: vec![vec![0; counters_per_attr]; attrs],
             }),
             progress: Mutex::new(ShardProgress::default()),
-            published: Condvar::new(),
-            publish_requested: AtomicBool::new(false),
+            changed: Condvar::new(),
+            publish_target: AtomicU64::new(0),
         }
     }
 
-    /// Asks the worker to publish at its next opportunity.
-    pub(crate) fn request_publish(&self) {
-        self.publish_requested.store(true, Ordering::Release);
+    /// Asks the worker to publish once it has processed `target`
+    /// tasks.
+    pub(crate) fn request_publish(&self, target: u64) {
+        self.publish_target.fetch_max(target, Ordering::AcqRel);
     }
 
-    /// Consumes a pending publish request, if any.
-    pub(crate) fn take_publish_request(&self) -> bool {
-        self.publish_requested.swap(false, Ordering::AcqRel)
+    /// Whether a waiter needs a publish now: the worker has processed
+    /// a requested target that its last publish (at `published`
+    /// processed tasks) did not cover.
+    pub(crate) fn publish_requested(&self, processed: u64, published: u64) -> bool {
+        let target = self.publish_target.load(Ordering::Acquire);
+        target > published && processed >= target
     }
 
-    /// Publishes a new shard snapshot and wakes drainers.
-    pub(crate) fn publish(&self, snapshot: ShardSnapshot) {
-        let next = ShardProgress {
-            epoch: snapshot.epoch,
-            blocks: snapshot.blocks,
-            ops: snapshot.ops,
-            processed: snapshot.processed,
-        };
-        *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
+    /// Applies `update` to the progress under its lock, stamps the
+    /// change instant, and wakes every waiter.
+    fn advance(&self, update: impl FnOnce(&mut ShardProgress)) {
         let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
-        *progress = next;
-        self.published.notify_all();
+        update(&mut progress);
+        progress.changed_ns = trace_clock_ns();
+        self.changed.notify_all();
+    }
+
+    /// Publishes a new shard snapshot and wakes waiters.
+    pub(crate) fn publish(&self, snapshot: ShardSnapshot) {
+        let (epoch, blocks, ops, processed) = (
+            snapshot.epoch,
+            snapshot.blocks,
+            snapshot.ops,
+            snapshot.processed,
+        );
+        *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
+        self.advance(|p| {
+            p.epoch = epoch;
+            p.blocks = blocks;
+            p.ops = ops;
+            p.processed = processed;
+        });
+    }
+
+    /// Advances the durable watermark after a sync and wakes waiters.
+    pub(crate) fn advance_durable(&self, durable: u64) {
+        self.advance(|p| p.durable = durable);
+    }
+
+    /// Marks the worker as exited and wakes waiters, so no wait can
+    /// outlive the shard.
+    pub(crate) fn mark_stopped(&self) {
+        self.advance(|p| p.stopped = true);
     }
 
     /// Adds this shard's published counters of **one** attribute into
@@ -130,30 +190,26 @@ impl ShardCell {
             .clone()
     }
 
-    /// The latest publish progress, without cloning any counters.
+    /// The latest progress, without cloning any counters.
     pub(crate) fn progress(&self) -> ShardProgress {
         *self.progress.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Blocks until at least `target` this-lifetime tasks have been
-    /// processed and published, re-arming the publish request on every
-    /// wake: the worker consumes a request after at most one processed
-    /// task, which may still be short of `target`, so a one-shot
-    /// request could strand the wait under a sustained producer with a
-    /// large cadence. The request is set while holding the progress
-    /// lock that `publish` also takes, so a publish cannot slip
-    /// between the check and the wait. Returns the shard's publish
-    /// epoch at the moment the target was reached.
-    pub(crate) fn wait_for_processed(&self, target: u64) -> u64 {
+    /// Blocks until `mark` reaches `target` or the worker has exited,
+    /// and returns the progress seen at that moment (the caller checks
+    /// which of the two happened). A processed wait needs the publish
+    /// covering `target` requested first ([`Self::request_publish`]);
+    /// the request stays until the worker honours it, after the task
+    /// that reaches it, so no wake-up is lost.
+    pub(crate) fn wait_for(&self, mark: Mark, target: u64) -> ShardProgress {
         let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
-        while progress.processed < target {
-            self.request_publish();
+        while progress.mark(mark) < target && !progress.stopped {
             progress = self
-                .published
+                .changed
                 .wait(progress)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        progress.epoch
+        *progress
     }
 }
 

@@ -26,9 +26,8 @@ pub struct ShardStats {
     pub backpressure_events: u64,
     /// The non-blocking subset of [`Self::backpressure_events`]:
     /// `try_ingest` submissions turned away at capacity. Counts every
-    /// refusal, including automatic re-attempts of parked submissions
-    /// (e.g. the `ams-net` retry ring re-trying each reactor tick), so
-    /// it measures refusal pressure on the queue and is an **upper
+    /// refusal, including a caller's automatic re-attempts, so it
+    /// measures refusal pressure on the queue and is an **upper
     /// bound** on — not a count of — client-observed `Busy` answers.
     pub queue_rejections: u64,
     /// Blocks the shard worker had applied at its last publish.

@@ -304,9 +304,7 @@ fn tagged_resubmission_is_applied_once_and_still_acks() {
     // A duplicate is skipped but still counts as durable: the cut
     // covering it must complete (the resubmitter gets its ack).
     let cut = service.durability_cut();
-    while !service.poll_durable(&cut) {
-        std::thread::yield_now();
-    }
+    assert!(service.wait_durable(&cut).is_some());
     service.drain();
     assert_eq!(
         service.snapshot().blocks(),
@@ -331,8 +329,6 @@ fn durability_off_service_reports_nothing() {
     // The durable cut degrades to a drain-style applied check.
     service.ingest_block("v", block(0)).unwrap();
     let cut = service.durability_cut();
-    while !service.poll_durable(&cut) {
-        std::thread::yield_now();
-    }
+    assert!(service.wait_durable(&cut).is_some());
     let _ = service.shutdown();
 }

@@ -1,10 +1,11 @@
 //! Network tracking over loopback: the framed TCP front-end end to end
 //! in one process.
 //!
-//! Spins up an [`AmsService`] behind a [`NetServer`] reactor on a
+//! Spins up an [`AmsService`] behind a [`NetServer`] on a
 //! loopback port, then drives it with the blocking [`AmsClient`]: a
 //! zipf stream is pushed through the wire in columnar blocks (pipelined
-//! batches; any `Busy` load-shedding is retried), live self-join
+//! batches, flow-controlled by the shard queues; a `Busy` answer from
+//! a server that sheds would be retried), live self-join
 //! estimates are queried mid-stream, and at the end the **snapshot
 //! fetched over the wire** is compared counter-for-counter against an
 //! in-process sketch of the same stream — the network path changes
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exact = Multiset::from_values(values.iter().copied());
     let exact_sj = exact.self_join_size() as f64;
     println!(
-        "stream: n = {}, exact SJ = {:.4e}; {SHARDS}-shard service behind a TCP reactor\n",
+        "stream: n = {}, exact SJ = {:.4e}; {SHARDS}-shard service behind a TCP server\n",
         exact.len(),
         exact_sj
     );
@@ -51,14 +52,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = NetServer::bind("127.0.0.1:0")?;
     let addr = server.local_addr();
     let handle = server.spawn(service);
-    println!("reactor listening on {addr}");
+    println!("server listening on {addr}");
 
     let mut client = AmsClient::connect(addr)?;
     let blocks: Vec<_> = value_blocks(&values, BLOCK).collect();
     let mut shed = 0usize;
     for batch in blocks.chunks(AmsClient::INGEST_BATCH) {
-        // Pipelined ingest; a full shard queue answers Busy instead of
-        // stalling the connection — resubmit those blocks.
+        // Pipelined ingest; a full shard queue slows the connection
+        // down (flow control). Resubmit any Busy answer, which a
+        // load-shedding server would send instead.
         let outcomes = client.ingest_blocks("v", batch)?;
         for (block, outcome) in batch.iter().zip(&outcomes) {
             if matches!(outcome, IngestOutcome::Busy { .. }) {
@@ -160,7 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // One wire `Events` frame drains the merged per-thread event rings:
-    // shard lifecycle, publishes, and the reactor's own events.
+    // shard lifecycle, publishes, and the front-end's own events.
     let events = client.events()?;
     let publishes = events.iter().filter(|e| e.code == "publish").count();
     assert!(publishes > 0, "publish cadence fired during ingest");
@@ -178,7 +180,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Request tracing, end to end: a second, durable service traced at
     // every submission. Each ingest carries a trace id on the wire;
-    // the reactor, shard worker, and WAL stamp their stages into
+    // the connection threads, shard worker, and WAL stamp their stages into
     // bounded span rings; the slowest requests survive tail sampling
     // and come back fully assembled from a `Traces` scrape.
     let trace_dir = std::env::temp_dir().join(format!("ams-net-tracking-{}", std::process::id()));
@@ -287,6 +289,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(stats.max_queue_depth() <= 8, "bounded queues held");
     let (joined_snapshot, _) = handle.join();
     assert_eq!(joined_snapshot.ops(), final_snapshot.ops());
-    println!("\nreactor thread joined; final state consistent.");
+    println!("\nserver thread joined; final state consistent.");
     Ok(())
 }

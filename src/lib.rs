@@ -12,9 +12,11 @@
 //! * [`hash`] — the k-wise independent hashing substrate.
 //! * [`service`] — the sharded parallel ingest service (bounded block
 //!   queues, per-shard worker threads, merge-on-query snapshots).
-//! * [`net`] — the framed TCP front-end over the service (non-blocking
-//!   reactor server, blocking client with retry-on-`Busy`, reconnect
-//!   with idempotent resubmission, and ack-after-fsync ingest).
+//! * [`net`] — the framed TCP front-end over the service (event-driven
+//!   server with a reader and a writer thread per connection and
+//!   flow-control backpressure, blocking client with retry-on-`Busy`,
+//!   reconnect with idempotent resubmission, and ack-after-fsync
+//!   ingest).
 //! * [`durable`] — the persistence layer (segmented CRC-framed WAL,
 //!   epoch-stamped checkpoints, crash recovery with bit-identical
 //!   replay).
